@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -204,7 +205,7 @@ def _run_stability(cfg: ScenarioConfig, out: Path, workers: int):
     path = out / "stability.csv"
     _write_csv(
         path,
-        _meta_lines(cfg, {"n_vehicles": cfg["n_vehicles"], "branches": "-8..8"}),
+        _meta_lines(cfg, {"n_vehicles": cfg["n_vehicles"], "method": "principal-branch Lambert W"}),
         ["delta_s", "max_re_per_s"],
         rows,
     )
@@ -216,11 +217,11 @@ def _run_tau_curve(cfg: ScenarioConfig, out: Path, workers: int):
     rows = []
     taus = {}
     for n in cfg["n_list"]:
-        tau = critical_reaction_time(int(n), p, tol=cfg["tau_tol"])
+        tau = critical_reaction_time(int(n), p)
         rows.append((n, tau))
         taus[str(n)] = tau
     path = out / "tau_curve.csv"
-    _write_csv(path, _meta_lines(cfg, {"branches": "-8..8"}), ["n_vehicles", "tau_s"], rows)
+    _write_csv(path, _meta_lines(cfg, {"method": "closed form"}), ["n_vehicles", "tau_s"], rows)
     return [path.name], [], {"tau_s": taus}
 
 
@@ -250,7 +251,8 @@ def _load_balance_replica(args: dict) -> dict:
 
 
 def _run_replicas(worker_fn, arg_list, workers: int) -> list:
-    if workers > 1 and len(arg_list) > 1:
+    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker_fn, arg_list))
     return [worker_fn(args) for args in arg_list]

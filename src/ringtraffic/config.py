@@ -67,7 +67,6 @@ KIND_DEFAULTS: dict[str, dict] = {
     "tau-curve": {
         **_COMMON,
         "n_list": [10, 25, 50, 75, 100, 133],
-        "tau_tol": 1e-3,
     },
     "load-balance": {
         **_COMMON,
@@ -332,8 +331,6 @@ def _validate(kind: str, v: dict) -> None:
     if kind == "tau-curve":
         if any(n < 2 for n in v["n_list"]):
             raise ConfigurationError("n_list entries must be >= 2")
-        if v["tau_tol"] <= 0:
-            raise ConfigurationError("tau_tol must be positive")
     if kind == "fundamental-diagram":
         if v["rho_resolution_per_km"] <= 0:
             raise ConfigurationError("rho_resolution_per_km must be positive")

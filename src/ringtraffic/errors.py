@@ -29,9 +29,5 @@ class NumericalError(TrafficError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-class BracketError(NumericalError):
-    """A root bracket does not enclose a sign change."""
-
-
 class InternalError(TrafficError, RuntimeError):
     """Invariant violation that indicates a bug rather than bad input."""

@@ -8,18 +8,20 @@ kept only as a brute-force cross-check.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw as _scipy_lambertw
 
 from .core import ModelParams
-from .errors import BracketError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 
-DEFAULT_BRANCHES = tuple(range(-8, 9))
+# Branches listed by characteristic_roots; the principal one holds the rightmost root.
+BRANCHES = tuple(range(-8, 9))
 _RESIDUAL_TOL = 1e-10
-_BRANCH_POINT = -1.0 / math.e
+_HALLEY_TOL = 1e-13
+_HALLEY_MAX_ITER = 100
 
 
 def scale_constant(n_vehicles: int, p: ModelParams) -> float:
@@ -52,34 +54,17 @@ def build_jacobian_dense(n_vehicles: int, p: ModelParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JacobianSpec:
-    """Closed-form description of the linearized single-lane system."""
-
-    scale_c: float
-    n_vehicles: int
-    eigenvalues: np.ndarray
-
-
-def jacobian_spec(n_vehicles: int, p: ModelParams) -> JacobianSpec:
-    return JacobianSpec(
-        scale_c=scale_constant(n_vehicles, p),
-        n_vehicles=n_vehicles,
-        eigenvalues=closed_form_eigenvalues(n_vehicles, p),
-    )
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
-    """Maximal real part over all characteristic roots scanned."""
+    """Maximal real part over all characteristic roots."""
 
     max_real_part: float
     stable: bool
 
 
-def _halley(w: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _halley(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Halley iteration for ``w * exp(w) = z`` from the given seeds."""
     active = np.abs(w * np.exp(w) - z) > 0.0
-    for _ in range(max_iter):
+    for _ in range(_HALLEY_MAX_ITER):
         if not np.any(active):
             break
         wa = w[active]
@@ -92,189 +77,86 @@ def _halley(w: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> np.ndarr
         wa = wa - dw
         w[active] = wa
         idx = np.flatnonzero(active)
-        active[idx] = np.abs(dw) > tol * (1.0 + np.abs(wa))
+        active[idx] = np.abs(dw) > _HALLEY_TOL * (1.0 + np.abs(wa))
     return w
 
 
-def lambert_w(z, branch: int = 0, tol: float = 1e-13, max_iter: int = 100):
+def lambert_w(z, branch: int = 0):
     """Branch ``branch`` of the complex Lambert W function, ``w * exp(w) = z``.
 
-    Seeds follow Corless et al. (1996): a Maclaurin series near the origin, the
-    branch-point expansion in a disk around -1/e (side-aware for branches +-1),
-    and the shifted logarithm ``L - log L`` where ``L = log z + 2*pi*i*branch``
-    is large.  Elements near a branch cut, where the logarithmic seed can land
-    on the wrong sheet, are instead continued inward along the ray from a large
-    radius where the seed is reliable.  Every element is verified against the
-    defining equation before being returned.  Scalars in, scalar out.
+    ``scipy.special.lambertw`` picks the sheet; a Halley polish then brings
+    every element to the defining equation.  The polish is needed at and just
+    above the branch point -1/e, where scipy returns NaN (seeded here as the
+    branch-point value -1) or, on branch -1, is off by up to about 1e-4.  Every
+    element is verified against the defining equation before being returned;
+    a NaN fails the check.  Scalars in, scalar out.
     """
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
-    if np.any(z_arr == 0):
-        if branch == 0:
-            w0 = np.zeros_like(z_arr)
-            nonzero = z_arr != 0
-            if np.any(nonzero):
-                w0[nonzero] = lambert_w(z_arr[nonzero], branch, tol, max_iter)
-            return complex(w0[0]) if scalar else w0
+    scalar = np.ndim(z) == 0
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if branch != 0 and np.any(z_arr == 0):
         raise ParameterError(f"Lambert W branch {branch} is undefined at z=0")
-
-    w = np.empty_like(z_arr)
-    done = np.zeros(z_arr.shape, dtype=bool)
-
-    if branch in (-1, 0, 1):
-        # Branches -1/+1 touch the branch point only from one side of the cut
-        # (above/below respectively); on the other side they are deep sheets.
-        near_bp = np.abs(z_arr - _BRANCH_POINT) <= 0.45
-        if branch == -1:
-            near_bp &= (z_arr.imag >= 0) & (z_arr.real <= 0)
-        elif branch == 1:
-            near_bp &= (z_arr.imag < 0) & (z_arr.real <= 0)
-        if np.any(near_bp):
-            zb = z_arr[near_bp]
-            sign = 1.0 if branch == 0 else -1.0
-            p = sign * np.sqrt(2.0 * (np.e * zb + 1.0))
-            w[near_bp] = _halley(-1.0 + p * (1.0 - p / 3.0), zb, tol, max_iter)
-            done |= near_bp
-    if branch == 0:
-        small = ~done & (np.abs(z_arr) <= 0.5)
-        if np.any(small):
-            zs = z_arr[small]
-            w[small] = _halley(zs * (1.0 - zs * (1.0 - 1.5 * zs)), zs, tol, max_iter)
-            done |= small
-
-    lz = np.log(z_arr) + 2j * np.pi * branch
-    # The logarithmic seed also needs L away from the cut of the outer log.
-    direct = ~done & (np.abs(lz) >= 2.0) & (np.pi - np.abs(np.angle(lz)) > 0.5)
-    if np.any(direct):
-        ld = lz[direct]
-        llog = np.log(ld)
-        w[direct] = _halley(ld - llog + llog / ld, z_arr[direct], tol, max_iter)
-        done |= direct
-
-    rest = ~done
-    if np.any(rest):
-        w[rest] = _continue_inward(z_arr[rest], branch, tol, max_iter)
-
-    residual = np.abs(w * np.exp(w) - z_arr)
-    bad = residual > _RESIDUAL_TOL * np.maximum(1.0, np.abs(z_arr))
-    if np.any(bad):
-        # A seed that strayed near a branch cut can stall; the ray walk is the
-        # robust (slower) path, so retry the failures with it before reporting.
-        w[bad] = _continue_inward(z_arr[bad], branch, tol, max_iter)
-        residual = np.abs(w * np.exp(w) - z_arr)
-        bad = residual > _RESIDUAL_TOL * np.maximum(1.0, np.abs(z_arr))
-    if np.any(bad):
-        worst = int(np.argmax(residual))
-        raise NumericalError(
-            f"Lambert W branch {branch} did not converge at z={z_arr[worst]!r} "
-            f"(residual {residual[worst]:.3e})"
-        )
+    w = _scipy_lambertw(z_arr, branch)
+    w[np.isnan(w)] = -1.0
+    w = _halley(w, z_arr)
+    _verify(np.abs(w * np.exp(w) - z_arr), z_arr, f"Lambert W branch {branch}")
     return complex(w[0]) if scalar else w
 
 
-def _continue_inward(z: np.ndarray, branch: int, tol: float, max_iter: int) -> np.ndarray:
-    """Solve by walking along each ray from radius 8, where the logarithmic
-    seed is reliable, inward to the target; the iterate tracks one sheet and
-    never hops across a branch cut."""
-    radius = 8.0
-    unit = z / np.abs(z)
-    zk = unit * radius
-    lk = np.log(zk) + 2j * np.pi * branch
-    wk = _halley(lk - np.log(lk), zk, tol, max_iter)
-    steps = 8
-    ratio = (np.abs(z) / radius) ** (1.0 / steps)
-    for _ in range(steps):
-        zk = zk * ratio
-        wk = _halley(wk, zk, tol, max_iter)
-    return wk
+def _verify(residual: np.ndarray, inputs, what: str) -> None:
+    """Raise unless every residual is below the relative tolerance; a NaN fails."""
+    inputs = np.broadcast_to(inputs, residual.shape)
+    if not np.all(residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(inputs))):
+        worst = int(np.argmax(residual))  # the first NaN, if any
+        raise NumericalError(
+            f"{what} failed at {complex(inputs[worst])!r} (residual {residual[worst]:.3e})"
+        )
 
 
-def characteristic_roots(eigenvalue: complex, delay: float, branches=DEFAULT_BRANCHES) -> np.ndarray:
+def _check_delay(delay: float) -> None:
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
+
+
+def characteristic_roots(eigenvalue: complex, delay: float) -> np.ndarray:
     """Roots of ``lam = d * exp(-lam * delay)`` for one Jacobian eigenvalue ``d``.
 
     For zero delay the single root is ``d`` itself; otherwise one root per
-    Lambert-W branch is returned, each verified to satisfy the defining
-    equation to a relative residual below 1e-10.
+    Lambert-W branch in :data:`BRANCHES` is returned, each verified to satisfy
+    the defining equation to a relative residual below 1e-10.
     """
-    if not (math.isfinite(delay) and delay >= 0):
-        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
+    _check_delay(delay)
     d = complex(eigenvalue)
     if delay == 0:
         return np.array([d])
-    z = d * delay
-    roots = np.empty(len(tuple(branches)), dtype=complex)
-    for i, b in enumerate(tuple(branches)):
-        w = lambert_w(z, b)
-        lam = w / delay
-        residual = abs(lam - d * cmath.exp(-lam * delay))
-        if residual > _RESIDUAL_TOL * max(1.0, abs(d)):
-            raise NumericalError(
-                f"characteristic root on branch {b} has residual {residual:.3e}"
-            )
-        roots[i] = lam
+    roots = np.array([lambert_w(d * delay, b) for b in BRANCHES]) / delay
+    _verify(np.abs(roots - d * np.exp(-roots * delay)), d, "characteristic root")
     return roots
 
 
-def max_growth_rate(
-    n_vehicles: int, delay: float, p: ModelParams, branches=DEFAULT_BRANCHES
-) -> StabilityVerdict:
-    """Maximal real part of the characteristic roots over all modes and branches."""
-    if not (math.isfinite(delay) and delay >= 0):
-        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
+def max_growth_rate(n_vehicles: int, delay: float, p: ModelParams) -> StabilityVerdict:
+    """Maximal real part of the characteristic roots over all modes.
+
+    The principal Lambert-W branch holds the rightmost root of every mode
+    (Shinozaki & Mori, Automatica 42, 2006), so one branch suffices.
+    """
+    _check_delay(delay)
     eigs = closed_form_eigenvalues(n_vehicles, p)
     if delay == 0:
         best = float(np.max(eigs.real))
         return StabilityVerdict(max_real_part=best, stable=best < 0)
-    z = eigs * delay
-    best = -math.inf
-    for b in tuple(branches):
-        w = lambert_w(z, b)
-        lam = w / delay
-        residual = np.abs(lam - eigs * np.exp(-lam * delay))
-        if np.any(residual > _RESIDUAL_TOL * np.maximum(1.0, np.abs(eigs))):
-            worst = int(np.argmax(residual))
-            raise NumericalError(
-                f"characteristic root on branch {b} has residual {residual[worst]:.3e}"
-            )
-        best = max(best, float(np.max(lam.real)))
+    lam = lambert_w(eigs * delay, 0) / delay
+    _verify(np.abs(lam - eigs * np.exp(-lam * delay)), eigs, "characteristic root")
+    best = float(np.max(lam.real))
     return StabilityVerdict(max_real_part=best, stable=best < 0)
 
 
-def critical_reaction_time(
-    n_vehicles: int,
-    p: ModelParams,
-    tol: float = 1e-3,
-    bracket: tuple[float, float] = (0.0, 2.0),
-    expand: bool = True,
-    branches=DEFAULT_BRANCHES,
-    max_delay: float = 64.0,
-) -> float:
+def critical_reaction_time(n_vehicles: int, p: ModelParams) -> float:
     """Delay at which the maximal characteristic real part crosses zero.
 
-    Bisection on the sign of :func:`max_growth_rate`.  If the upper bracket end
-    is still stable it is doubled (up to ``max_delay``) unless ``expand`` is
-    disabled, in which case a missing sign change raises :class:`BracketError`.
-    Low-density fleets have critical delays well above 2 s, so the default
-    bracket frequently needs the expansion.
+    The slowest ring mode (k = 1, eigenvalue ``c * (1 - exp(i theta))`` with
+    ``theta = 2 pi / N``) reaches the imaginary axis first.  A root ``i w``
+    requires ``w = |d|`` and ``w * delay = theta / 2`` with
+    ``|d| = 2 |c| sin(theta / 2)``, so ``tau_c = (pi/N) / (2 |c| sin(pi/N))``.
     """
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 <= lo < hi):
-        raise ParameterError(f"invalid bracket {bracket!r}")
-    rate = lambda delta: max_growth_rate(n_vehicles, delta, p, branches).max_real_part
-    if rate(lo) >= 0:
-        raise BracketError(f"system already unstable at delay {lo}")
-    while rate(hi) < 0:
-        if not expand:
-            raise BracketError(f"no sign change in bracket [{lo}, {hi}]")
-        hi *= 2.0
-        if hi > max_delay:
-            raise BracketError(f"no instability found up to delay {max_delay}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    half_theta = math.pi / n_vehicles
+    return half_theta / (2.0 * abs(scale_constant(n_vehicles, p)) * math.sin(half_theta))

@@ -98,6 +98,8 @@ def test_stability_cli_matches_library(tmp_path, csv_columns):
 
 
 def test_tau_curve_cli(tmp_path, csv_columns):
+    from ringtraffic import critical_reaction_time, ModelParams
+
     out = tmp_path / "tau"
     status = main(["tau-curve", "--out", str(out), "--set", "n_list=[25,50]", "--quiet"])
     assert status == EXIT_OK
@@ -105,6 +107,10 @@ def test_tau_curve_cli(tmp_path, csv_columns):
     taus = dict(zip(data["n_vehicles"], data["tau_s"]))
     assert 0.65 <= taus[50.0] <= 0.75
     assert taus[25.0] > taus[50.0]
+    p = ModelParams()
+    for n, tau in taus.items():
+        # the CSV carries 12 significant digits, so compare at that precision
+        assert tau == float(format(critical_reaction_time(int(n), p), ".12g"))
 
 
 def test_single_lane_cli_small(tmp_path, csv_columns):
@@ -192,6 +198,33 @@ def test_seed_and_replicas_flags(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [777, 778]
     assert manifest["config"]["base_seed"] == 777
+
+
+def test_workers_bounded_by_replicas_and_cpus(monkeypatch):
+    import ringtraffic.cli as cli
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # a 1-cpu host runs the replicas in-process and builds no pool
+    for cpus, expected in ((8, [3]), (2, [2]), (1, [])):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert cli._run_replicas(abs, [-1, -2, -3], workers=10**6) == [1, 2, 3]
+        assert pools == expected
 
 
 def test_workers_do_not_change_artifacts(tmp_path):

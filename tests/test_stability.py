@@ -12,11 +12,12 @@ from ringtraffic import (
     characteristic_roots,
     closed_form_eigenvalues,
     critical_reaction_time,
-    jacobian_spec,
     lambert_w,
     max_growth_rate,
 )
-from ringtraffic.errors import BracketError, ParameterError
+import ringtraffic.stability as stability
+from ringtraffic.errors import NumericalError, ParameterError
+from ringtraffic.stability import scale_constant
 
 
 def newton_root(d, delay, start, tol=1e-13):
@@ -36,10 +37,16 @@ def newton_root(d, delay, start, tol=1e-13):
     return lam
 
 
+def scipy_scan_growth_rate(n, delay, p):
+    """Largest real part over 17 scipy Lambert-W branches; independent of lambert_w."""
+    eigs = closed_form_eigenvalues(n, p)
+    return max(float((scipy_lambertw(eigs * delay, b) / delay).real.max()) for b in range(-8, 9))
+
+
 def test_dense_jacobian_small_cases(table1_params):
-    c = jacobian_spec(2, table1_params).scale_c
+    c = scale_constant(2, table1_params)
     np.testing.assert_allclose(build_jacobian_dense(2, table1_params), [[2 * c]])
-    c3 = jacobian_spec(3, table1_params).scale_c
+    c3 = scale_constant(3, table1_params)
     np.testing.assert_allclose(
         build_jacobian_dense(3, table1_params), [[2 * c3, -c3], [c3, c3]]
     )
@@ -47,7 +54,7 @@ def test_dense_jacobian_small_cases(table1_params):
 
 def test_dense_jacobian_row_sums(table1_params):
     jac = build_jacobian_dense(7, table1_params)
-    c = jacobian_spec(7, table1_params).scale_c
+    c = scale_constant(7, table1_params)
     sums = jac.sum(axis=1)
     np.testing.assert_allclose(sums[:-1], c)  # rows with a superdiagonal entry
     np.testing.assert_allclose(sums[-1], 2 * c)
@@ -71,17 +78,18 @@ def test_closed_form_matches_dense_eigensolver(table1_params):
 
 
 def test_eigenvalues_on_unit_circle_about_scale(table1_params):
-    spec = jacobian_spec(50, table1_params)
-    assert spec.scale_c < 0
-    ratios = np.abs(1.0 - spec.eigenvalues / spec.scale_c)
+    c = scale_constant(50, table1_params)
+    eigs = closed_form_eigenvalues(50, table1_params)
+    assert c < 0
+    ratios = np.abs(1.0 - eigs / c)
     np.testing.assert_allclose(ratios, 1.0, atol=1e-12)
-    assert np.all(spec.eigenvalues.real <= 1e-15)
+    assert np.all(eigs.real <= 1e-15)
 
 
 def test_eigenvalues_small_n(table1_params):
-    c2 = jacobian_spec(2, table1_params).scale_c
+    c2 = scale_constant(2, table1_params)
     np.testing.assert_allclose(closed_form_eigenvalues(2, table1_params), [2 * c2])
-    c4 = jacobian_spec(4, table1_params).scale_c
+    c4 = scale_constant(4, table1_params)
     np.testing.assert_allclose(
         np.sort_complex(closed_form_eigenvalues(4, table1_params) / c4),
         np.sort_complex(np.array([1 - 1j, 2 + 0j, 1 + 1j])),
@@ -112,6 +120,14 @@ def test_lambert_w_at_zero():
     assert lambert_w(0.0, 0) == 0.0
     with pytest.raises(ParameterError):
         lambert_w(0.0, -1)
+
+
+def test_nan_fails_the_residual_checks(table1_params, monkeypatch):
+    with pytest.raises(NumericalError):
+        lambert_w(complex(math.nan, 1.0))
+    monkeypatch.setattr(stability, "lambert_w", lambda z, branch=0: np.full_like(z, math.nan))
+    with pytest.raises(NumericalError):
+        max_growth_rate(50, 0.75, table1_params)
 
 
 def test_characteristic_roots_zero_delay(table1_params):
@@ -193,27 +209,52 @@ def test_critical_reaction_time_continuum_limit():
     assert abs(tau - 0.5) < 0.02
 
 
-def test_critical_reaction_time_expands_bracket(table1_params):
-    # Sparse rings are stable far beyond the 2 s default bracket.
-    tau10 = critical_reaction_time(10, table1_params)
-    assert tau10 > 2.0
-    with pytest.raises(BracketError):
-        critical_reaction_time(10, table1_params, expand=False)
-
-
 def test_critical_reaction_time_marginal_oracle(table1_params):
-    """Bisection against the closed-form marginal condition.
+    """At tau_c the slowest mode (k = 1) has a purely imaginary rightmost root."""
+    for n in (2, 3, 6, 25, 50, 100):
+        tau = critical_reaction_time(n, table1_params)
+        d1 = closed_form_eigenvalues(n, table1_params)[0]
+        roots = characteristic_roots(d1, tau)
+        assert abs(roots.real.max()) < 1e-9
 
-    The slowest ring mode crosses the imaginary axis when the delay reaches
-    theta / (4 |c| sin(theta/2)) with theta = 2 pi / N, which follows from
-    requiring a purely imaginary characteristic root.
-    """
-    for n in (25, 50, 100):
-        spec = jacobian_spec(n, table1_params)
-        theta = 2 * math.pi / n
-        marginal = theta / (4 * abs(spec.scale_c) * math.sin(theta / 2))
-        tau = critical_reaction_time(n, table1_params, tol=1e-4)
-        assert tau == pytest.approx(marginal, abs=5e-4)
+
+def test_critical_reaction_time_sparse_fleets(table1_params):
+    # Sparse rings are stable up to delays far beyond any bracket a search would start with.
+    expected = {2: 1.7472e5, 3: 2085.25, 4: 238.498, 5: 65.7618, 6: 27.9981}
+    for n, tau in expected.items():
+        assert critical_reaction_time(n, table1_params) == pytest.approx(tau, rel=1e-4)
+
+
+def test_critical_reaction_time_straddles_scipy_sign_change(table1_params):
+    for n in range(2, 201):
+        tau = critical_reaction_time(n, table1_params)
+        assert scipy_scan_growth_rate(n, tau * (1 - 1e-3), table1_params) < 0
+        assert scipy_scan_growth_rate(n, tau * (1 + 1e-3), table1_params) > 0
+
+
+def test_max_growth_rate_against_scipy_scan(table1_params):
+    # (6, 28..29.1) and (12, 3.6) sit where a wrong-sheet W_0 once reported
+    # a stable or too-slow rightmost root.
+    cases = [(6, tau) for tau in np.linspace(28.01, 29.09, 7)] + [(12, 3.6), (50, 0.75)]
+    for n, tau in cases:
+        rate = max_growth_rate(n, tau, table1_params).max_real_part
+        assert rate == pytest.approx(scipy_scan_growth_rate(n, tau, table1_params), abs=1e-12)
+        assert rate > 0
+    assert max_growth_rate(12, 3.6, table1_params).max_real_part == pytest.approx(1.972e-3, rel=1e-3)
+    assert max_growth_rate(50, 0.75, table1_params).max_real_part == pytest.approx(0.014180, abs=1e-6)
+
+
+def test_max_growth_rate_calls_lambert_w_once(table1_params, monkeypatch):
+    calls = []
+    real = stability.lambert_w
+
+    def counted(z, branch=0):
+        calls.append(branch)
+        return real(z, branch)
+
+    monkeypatch.setattr(stability, "lambert_w", counted)
+    max_growth_rate(50, 0.75, table1_params)
+    assert calls == [0]
 
 
 def test_tau_monotone_in_fleet_size(table1_params):
