@@ -15,7 +15,9 @@ import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from .metrics import (
     lane_change_count_series,
     lane_imbalance_series,
 )
-from .records import TERMINATED_COLLISION, write_events_csv, _fmt
+from .records import TERMINATED_COLLISION, write_events_csv
+# Under its own name, per-layer tracing times the CLI's tables apart from trajectories.
+from .records import write_csv as _write_csv
 from .single_lane import run_single_lane
 from .stability import critical_reaction_time, max_growth_rate
 
@@ -103,15 +107,6 @@ def _meta_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
     return [f"# {k}={v}" for k, v in meta.items()]
 
 
-def _write_csv(path: Path, meta_lines: list[str], columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in meta_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Per-kind runners
 # ---------------------------------------------------------------------------
@@ -123,9 +118,13 @@ def _run_fundamental_diagram(cfg: ScenarioConfig, out: Path, workers: int):
     summary = fundamental_diagram_summary(p, rho_resolution=resolution)
     rho = np.arange(resolution, p.rho_jam, resolution)
     v_eq, q = fundamental_diagram_curve(p, rho)
-    rows = zip(rho * 1000.0, v_eq, q * 3600.0)
     path = out / "fundamental_diagram.csv"
-    _write_csv(path, _meta_lines(cfg), ["rho_veh_per_km", "v_eq_m_per_s", "q_veh_per_hr"], rows)
+    _write_csv(
+        path,
+        _meta_lines(cfg),
+        ["rho_veh_per_km", "v_eq_m_per_s", "q_veh_per_hr"],
+        [rho * 1000.0, v_eq, q * 3600.0],
+    )
     return (
         [path.name],
         [],
@@ -137,10 +136,9 @@ def _run_fundamental_diagram(cfg: ScenarioConfig, out: Path, workers: int):
     )
 
 
-def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
-    p = cfg.params
-    record = run_single_lane(
-        p,
+def _single_lane_record(cfg: ScenarioConfig):
+    return run_single_lane(
+        cfg.params,
         cfg["n_vehicles"],
         cfg["delay"],
         cfg["dt"],
@@ -148,22 +146,34 @@ def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
         perturbation=(cfg["perturb_vehicle"], cfg["perturb_displacement"]),
         record_stride=cfg["record_stride"],
     )
-    artifacts = []
-    traj = out / "trajectory.csv"
-    record.write_csv(traj, extra_metadata={"config_hash": config_hash(cfg.to_dict())})
-    artifacts.append(traj.name)
 
-    summary: dict = {
-        "termination": record.termination_reason,
-        "termination_time": record.termination_time,
-    }
+
+def _write_trajectory(cfg: ScenarioConfig, out: Path, record, seed):
+    """Write ``trajectory.csv``; return the artifacts, termination and summary
+    of a single-run kind."""
+    path = out / "trajectory.csv"
+    record.write_csv(path, extra_metadata={"config_hash": config_hash(cfg.to_dict())})
+    reason, time = record.termination_reason, record.termination_time
+    return (
+        [path.name],
+        [{"replica": 0, "seed": seed, "reason": reason, "time": time}],
+        {"termination": reason, "termination_time": time},
+    )
+
+
+def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
+    p = cfg.params
+    record = _single_lane_record(cfg)
+    artifacts, terminations, summary = _write_trajectory(cfg, out, record, None)
     try:
         fit = growth_rate_from_record(record, vehicle=cfg["perturb_vehicle"])
-        rows = [
-            (n + 1, f_n, fit.a, fit.k, fit.residual) for n, f_n in enumerate(fit.amplitudes)
-        ]
         growth = out / "growth_fit.csv"
-        _write_csv(growth, _meta_lines(cfg), ["n", "f_n", "a", "k", "residual"], rows)
+        _write_csv(
+            growth,
+            _meta_lines(cfg),
+            ["n", "f_n", "a", "k", "residual"],
+            [np.arange(1, fit.amplitudes.size + 1), fit.amplitudes, fit.a, fit.k, fit.residual],
+        )
         artifacts.append(growth.name)
         summary["k"] = fit.k
     except InsufficientDataError as exc:
@@ -176,324 +186,266 @@ def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
         times = np.linspace(delta, t_hi, cfg["flow_grid_nt"])
         xs = np.linspace(0.0, p.track_length, cfg["flow_grid_nx"], endpoint=False)
         ff = flow_field(record, times, xs, delta)
-        rows = (
-            (t, x, ff.q[i, j])
-            for i, t in enumerate(ff.times)
-            for j, x in enumerate(ff.positions)
-        )
         flow_path = out / "flow_field.csv"
-        _write_csv(flow_path, _meta_lines(cfg, {"delta": delta}), ["t", "x", "q_veh_per_s"], rows)
+        _write_csv(
+            flow_path,
+            _meta_lines(cfg, {"delta": delta}),
+            ["t", "x", "q_veh_per_s"],
+            [ff.times[:, None], ff.positions, ff.q],
+        )
         artifacts.append(flow_path.name)
-
-    terminations = [
-        {
-            "replica": 0,
-            "seed": None,
-            "reason": record.termination_reason,
-            "time": record.termination_time,
-        }
-    ]
     return artifacts, terminations, summary
 
 
 def _run_stability(cfg: ScenarioConfig, out: Path, workers: int):
     p = cfg.params
-    rows = []
-    for delta in cfg["delay_grid"]:
-        verdict = max_growth_rate(cfg["n_vehicles"], float(delta), p)
-        rows.append((delta, verdict.max_real_part))
+    delays = cfg["delay_grid"]
+    growth = [max_growth_rate(cfg["n_vehicles"], float(d), p).max_real_part for d in delays]
     path = out / "stability.csv"
     _write_csv(
         path,
         _meta_lines(cfg, {"n_vehicles": cfg["n_vehicles"], "method": "principal-branch Lambert W"}),
         ["delta_s", "max_re_per_s"],
-        rows,
+        [delays, growth],
     )
-    return [path.name], [], {"n_delays": len(rows)}
+    return [path.name], [], {"n_delays": len(delays)}
 
 
 def _run_tau_curve(cfg: ScenarioConfig, out: Path, workers: int):
     p = cfg.params
-    rows = []
-    taus = {}
-    for n in cfg["n_list"]:
-        tau = critical_reaction_time(int(n), p)
-        rows.append((n, tau))
-        taus[str(n)] = tau
+    taus = [critical_reaction_time(int(n), p) for n in cfg["n_list"]]
     path = out / "tau_curve.csv"
-    _write_csv(path, _meta_lines(cfg, {"method": "closed form"}), ["n_vehicles", "tau_s"], rows)
-    return [path.name], [], {"tau_s": taus}
+    meta = _meta_lines(cfg, {"method": "closed form"})
+    _write_csv(path, meta, ["n_vehicles", "tau_s"], [cfg["n_list"], taus])
+    return [path.name], [], {"tau_s": {str(n): tau for n, tau in zip(cfg["n_list"], taus)}}
 
 
-def _load_balance_replica(args: dict) -> dict:
-    p = args["params"]
-    record = run_two_lane(
-        p,
-        LaneChangeParams(r=args["r"], p=args["p"], rng_seed=args["seed"]),
-        n_lane0=args["n_vehicles"],
-        n_lane1=0,
-        delay=args["delay"],
-        dt=args["dt"],
-        t_end=args["t_end"],
-        record_stride=args["record_stride"],
-    )
-    delta = args["delta_flow"]
-    flow_times = record.times[record.times >= delta]
+def _replica_result(record, **tables) -> dict:
+    """What a replica sends back: its tables (each the time column, then one
+    array per series), events and termination, but not the whole record."""
     return {
-        "times": record.times,
-        "delta_n": lane_imbalance_series(record),
-        "flow_times": flow_times,
-        "flow": flow_series(record, p.track_length / 2.0, flow_times, delta),
+        **tables,
         "events": record.events,
         "reason": record.termination_reason,
-        "t_term": record.termination_time,
+        "time": record.termination_time,
     }
 
 
+def _load_balance_replica(cfg: ScenarioConfig, seed: int) -> dict:
+    p = cfg.params
+    record = run_two_lane(
+        p,
+        LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed),
+        n_lane0=cfg["n_vehicles"],
+        n_lane1=0,
+        delay=cfg["delay"],
+        dt=cfg["dt"],
+        t_end=cfg["t_end"],
+        record_stride=cfg["record_stride"],
+    )
+    delta = cfg["delta_flow"]
+    flow_times = record.times[record.times >= delta]
+    return _replica_result(
+        record,
+        replica=[record.times, lane_imbalance_series(record)],
+        flow=[flow_times, flow_series(record, p.track_length / 2.0, flow_times, delta)],
+    )
+
+
+def _aggressive_replica(cfg: ScenarioConfig, seed: int) -> dict:
+    p = cfg.params
+    n_half = cfg["n_vehicles"] // 2
+    stagger = cfg["stagger"]
+    if stagger is None:
+        stagger = p.track_length / cfg["n_vehicles"]
+    aggressive = cfg["aggressive_vehicle"]
+    if aggressive is None:
+        aggressive = n_half  # first vehicle of the staggered lane
+    control = cfg["control_vehicle"]
+    if control is None:
+        control = 0  # first vehicle of the unshifted lane
+    record = run_two_lane(
+        p,
+        LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed),
+        n_lane0=n_half,
+        n_lane1=n_half,
+        stagger=stagger,
+        delay=cfg["delay"],
+        dt=cfg["dt"],
+        t_end=cfg["t_end"],
+        lambda_overrides={aggressive: cfg["aggressive_lambda"]},
+        record_stride=cfg["record_stride"],
+    )
+    return _replica_result(
+        record,
+        replica=[
+            record.times,
+            lane_change_count_series(record, aggressive),
+            lane_change_count_series(record, control),
+            distance_series(record, aggressive),
+            distance_series(record, control),
+        ],
+    )
+
+
+def _load_balance_summary(means: dict) -> dict:
+    return {
+        "final_delta_n_mean": float(means["delta_n_mean"][-1]),
+        "final_q_mean": float(means["q_mean"][-1]),
+    }
+
+
+def _aggressive_summary(means: dict) -> dict:
+    dl_a, dl_c = means["dl_aggressive_mean"][-1], means["dl_control_mean"][-1]
+    d_a, d_c = means["dist_aggressive_mean"][-1], means["dist_control_mean"][-1]
+    summary = {"final_dl_aggressive_mean": float(dl_a), "final_dl_control_mean": float(dl_c)}
+    if dl_c > 0:
+        summary["lane_change_ratio"] = float(dl_a / dl_c)
+    if d_c > 0:
+        summary["velocity_advantage"] = float(d_a / d_c - 1.0)
+    return summary
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One per-replica CSV, ``<prefix>_<name>_NN.csv``, and its Monte Carlo
+    mean, ``<prefix>_<mean_name>.csv``.
+
+    ``series`` pairs each value column after ``t`` with the mean CSV's
+    columns for it: the mean, then optionally the standard deviation.
+    """
+
+    name: str
+    mean_name: str
+    series: tuple[tuple[str, tuple[str, ...]], ...]
+    mean_meta: Callable[[ScenarioConfig], dict] = lambda cfg: {}
+
+
+@dataclass(frozen=True)
+class _ReplicaKind:
+    """A seeded multi-replica experiment: the function that runs one replica
+    (module level, so worker processes can import it), the tables it returns
+    and the summary drawn from the mean columns."""
+
+    prefix: str
+    replica: Callable[[ScenarioConfig, int], dict]
+    tables: tuple[_Table, ...]
+    summarize: Callable[[dict], dict]
+
+
+_LOAD_BALANCE = _ReplicaKind(
+    "lb",
+    _load_balance_replica,
+    (
+        _Table("replica", "mean", (("delta_n", ("delta_n_mean", "delta_n_std")),)),
+        _Table(
+            "flow",
+            "flow_mean",
+            (("q_veh_per_s", ("q_mean", "q_std")),),
+            lambda cfg: {"delta": cfg["delta_flow"], "x": "track_length/2"},
+        ),
+    ),
+    _load_balance_summary,
+)
+
+_AGGRESSIVE = _ReplicaKind(
+    "agg",
+    _aggressive_replica,
+    (
+        _Table(
+            "replica",
+            "mean",
+            (
+                ("dl_aggressive", ("dl_aggressive_mean", "dl_aggressive_std")),
+                ("dl_control", ("dl_control_mean", "dl_control_std")),
+                ("dist_aggressive", ("dist_aggressive_mean",)),
+                ("dist_control", ("dist_control_mean",)),
+            ),
+        ),
+    ),
+    _aggressive_summary,
+)
+
+
+def _pool_size(workers: int, replicas: int) -> int:
+    """Processes a replica run uses: at most one per replica and per CPU."""
+    return min(workers, replicas, os.cpu_count() or 1)
+
+
 def _run_replicas(worker_fn, arg_list, workers: int) -> list:
-    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+    workers = _pool_size(workers, len(arg_list))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker_fn, arg_list))
     return [worker_fn(args) for args in arg_list]
 
 
-def _run_load_balance(cfg: ScenarioConfig, out: Path, workers: int):
-    p = cfg.params
+def _run_replica_kind(cfg: ScenarioConfig, out: Path, workers: int, kind: _ReplicaKind):
     seeds = cfg.seeds
-    arg_list = [
-        {
-            "params": p,
-            "r": cfg["r"],
-            "p": cfg["p"],
-            "seed": seed,
-            "n_vehicles": cfg["n_vehicles"],
-            "delay": cfg["delay"],
-            "dt": cfg["dt"],
-            "t_end": cfg["t_end"],
-            "record_stride": cfg["record_stride"],
-            "delta_flow": cfg["delta_flow"],
-        }
-        for seed in seeds
-    ]
-    results = _run_replicas(_load_balance_replica, arg_list, workers)
+    results = _run_replicas(partial(kind.replica, cfg), seeds, workers)
 
     artifacts = []
     terminations = []
     for i, (seed, res) in enumerate(zip(seeds, results)):
         meta = _meta_lines(cfg, {"seed": seed, "replica": i})
-        path = out / f"lb_replica_{i:02d}.csv"
-        _write_csv(path, meta, ["t", "delta_n"], zip(res["times"], res["delta_n"]))
-        artifacts.append(path.name)
-        path = out / f"lb_flow_{i:02d}.csv"
-        _write_csv(path, meta, ["t", "q_veh_per_s"], zip(res["flow_times"], res["flow"]))
-        artifacts.append(path.name)
-        path = out / f"lb_events_{i:02d}.csv"
+        for table in kind.tables:
+            path = out / f"{kind.prefix}_{table.name}_{i:02d}.csv"
+            _write_csv(path, meta, ["t", *(name for name, _ in table.series)], res[table.name])
+            artifacts.append(path.name)
+        path = out / f"{kind.prefix}_events_{i:02d}.csv"
         write_events_csv(path, res["events"], meta)
         artifacts.append(path.name)
         terminations.append(
-            {"replica": i, "seed": seed, "reason": res["reason"], "time": res["t_term"]}
+            {"replica": i, "seed": seed, "reason": res["reason"], "time": res["time"]}
         )
 
-    completed = [r for r in results if r["reason"] != TERMINATED_COLLISION]
-    summary: dict = {"replicas_completed": len(completed)}
-    if len(completed) == len(results):
-        dn_mean, dn_std = aggregate_monte_carlo([r["delta_n"] for r in results])
-        path = out / "lb_mean.csv"
-        _write_csv(
-            path,
-            _meta_lines(cfg),
-            ["t", "delta_n_mean", "delta_n_std"],
-            zip(results[0]["times"], dn_mean, dn_std),
-        )
-        artifacts.append(path.name)
-        q_mean, q_std = aggregate_monte_carlo([r["flow"] for r in results])
-        path = out / "lb_flow_mean.csv"
-        _write_csv(
-            path,
-            _meta_lines(cfg, {"delta": cfg["delta_flow"], "x": "track_length/2"}),
-            ["t", "q_mean", "q_std"],
-            zip(results[0]["flow_times"], q_mean, q_std),
-        )
-        artifacts.append(path.name)
-        summary["final_delta_n_mean"] = float(dn_mean[-1])
-        summary["final_q_mean"] = float(q_mean[-1])
-    return artifacts, terminations, summary
-
-
-def _aggressive_replica(args: dict) -> dict:
-    p = args["params"]
-    n_half = args["n_vehicles"] // 2
-    stagger = args["stagger"]
-    if stagger is None:
-        stagger = p.track_length / args["n_vehicles"]
-    aggressive = args["aggressive_vehicle"]
-    if aggressive is None:
-        aggressive = n_half  # first vehicle of the staggered lane
-    control = args["control_vehicle"]
-    if control is None:
-        control = 0  # first vehicle of the unshifted lane
-    record = run_two_lane(
-        p,
-        LaneChangeParams(r=args["r"], p=args["p"], rng_seed=args["seed"]),
-        n_lane0=n_half,
-        n_lane1=n_half,
-        stagger=stagger,
-        delay=args["delay"],
-        dt=args["dt"],
-        t_end=args["t_end"],
-        lambda_overrides={aggressive: args["aggressive_lambda"]},
-        record_stride=args["record_stride"],
-    )
-    return {
-        "times": record.times,
-        "dl_aggressive": lane_change_count_series(record, aggressive),
-        "dl_control": lane_change_count_series(record, control),
-        "dist_aggressive": distance_series(record, aggressive),
-        "dist_control": distance_series(record, control),
-        "events": record.events,
-        "reason": record.termination_reason,
-        "t_term": record.termination_time,
-    }
-
-
-def _run_aggressive(cfg: ScenarioConfig, out: Path, workers: int):
-    p = cfg.params
-    seeds = cfg.seeds
-    arg_list = [
-        {
-            "params": p,
-            "r": cfg["r"],
-            "p": cfg["p"],
-            "seed": seed,
-            "n_vehicles": cfg["n_vehicles"],
-            "delay": cfg["delay"],
-            "dt": cfg["dt"],
-            "t_end": cfg["t_end"],
-            "record_stride": cfg["record_stride"],
-            "stagger": cfg["stagger"],
-            "aggressive_lambda": cfg["aggressive_lambda"],
-            "aggressive_vehicle": cfg["aggressive_vehicle"],
-            "control_vehicle": cfg["control_vehicle"],
-        }
-        for seed in seeds
-    ]
-    results = _run_replicas(_aggressive_replica, arg_list, workers)
-
-    artifacts = []
-    terminations = []
-    for i, (seed, res) in enumerate(zip(seeds, results)):
-        meta = _meta_lines(cfg, {"seed": seed, "replica": i})
-        path = out / f"agg_replica_{i:02d}.csv"
-        _write_csv(
-            path,
-            meta,
-            ["t", "dl_aggressive", "dl_control", "dist_aggressive", "dist_control"],
-            zip(
-                res["times"],
-                res["dl_aggressive"],
-                res["dl_control"],
-                res["dist_aggressive"],
-                res["dist_control"],
-            ),
-        )
-        artifacts.append(path.name)
-        path = out / f"agg_events_{i:02d}.csv"
-        write_events_csv(path, res["events"], meta)
-        artifacts.append(path.name)
-        terminations.append(
-            {"replica": i, "seed": seed, "reason": res["reason"], "time": res["t_term"]}
-        )
-
-    completed = [r for r in results if r["reason"] != TERMINATED_COLLISION]
-    summary: dict = {"replicas_completed": len(completed)}
-    if len(completed) == len(results):
-        dl_a_mean, dl_a_std = aggregate_monte_carlo([r["dl_aggressive"] for r in results])
-        dl_c_mean, dl_c_std = aggregate_monte_carlo([r["dl_control"] for r in results])
-        d_a_mean, _ = aggregate_monte_carlo([r["dist_aggressive"] for r in results])
-        d_c_mean, _ = aggregate_monte_carlo([r["dist_control"] for r in results])
-        path = out / "agg_mean.csv"
-        _write_csv(
-            path,
-            _meta_lines(cfg),
-            [
-                "t",
-                "dl_aggressive_mean",
-                "dl_aggressive_std",
-                "dl_control_mean",
-                "dl_control_std",
-                "dist_aggressive_mean",
-                "dist_control_mean",
-            ],
-            zip(results[0]["times"], dl_a_mean, dl_a_std, dl_c_mean, dl_c_std, d_a_mean, d_c_mean),
-        )
-        artifacts.append(path.name)
-        summary["final_dl_aggressive_mean"] = float(dl_a_mean[-1])
-        summary["final_dl_control_mean"] = float(dl_c_mean[-1])
-        if dl_c_mean[-1] > 0:
-            summary["lane_change_ratio"] = float(dl_a_mean[-1] / dl_c_mean[-1])
-        if d_c_mean[-1] > 0:
-            summary["velocity_advantage"] = float(d_a_mean[-1] / d_c_mean[-1] - 1.0)
+    completed = sum(r["reason"] != TERMINATED_COLLISION for r in results)
+    summary: dict = {"replicas_completed": completed}
+    if completed == len(results):
+        means = {}
+        for table in kind.tables:
+            columns, values = ["t"], [results[0][table.name][0]]
+            for k, (_, names) in enumerate(table.series, start=1):
+                stats = aggregate_monte_carlo([r[table.name][k] for r in results])
+                columns += names
+                values += stats[: len(names)]
+                means.update(zip(names, stats))
+            path = out / f"{kind.prefix}_{table.mean_name}.csv"
+            _write_csv(path, _meta_lines(cfg, table.mean_meta(cfg)), columns, values)
+            artifacts.append(path.name)
+        summary.update(kind.summarize(means))
     return artifacts, terminations, summary
 
 
 def _run_custom(cfg: ScenarioConfig, out: Path, workers: int):
-    p = cfg.params
-    artifacts = []
-    terminations = []
     if cfg["lanes"] == 1:
-        record = run_single_lane(
-            p,
-            cfg["n_vehicles"],
-            cfg["delay"],
-            cfg["dt"],
-            cfg["t_end"],
-            perturbation=(cfg["perturb_vehicle"], cfg["perturb_displacement"]),
-            record_stride=cfg["record_stride"],
-        )
-    else:
-        n0 = cfg["n_lane0"] if cfg["n_lane0"] is not None else cfg["n_vehicles"]
-        n1 = cfg["n_lane1"] if cfg["n_lane1"] is not None else 0
-        record = run_two_lane(
-            p,
-            LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=cfg["base_seed"]),
-            n_lane0=n0,
-            n_lane1=n1,
-            stagger=cfg["stagger"] or 0.0,
-            delay=cfg["delay"],
-            dt=cfg["dt"],
-            t_end=cfg["t_end"],
-            record_stride=cfg["record_stride"],
-        )
-    traj = out / "trajectory.csv"
-    record.write_csv(traj, extra_metadata={"config_hash": config_hash(cfg.to_dict())})
-    artifacts.append(traj.name)
-    if record.lanes is not None:
-        events = out / "events.csv"
-        write_events_csv(events, record.events, _meta_lines(cfg))
-        artifacts.append(events.name)
-    terminations.append(
-        {
-            "replica": 0,
-            "seed": cfg["base_seed"] if cfg["lanes"] == 2 else None,
-            "reason": record.termination_reason,
-            "time": record.termination_time,
-        }
+        return _write_trajectory(cfg, out, _single_lane_record(cfg), None)
+    record = run_two_lane(
+        cfg.params,
+        LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=cfg["base_seed"]),
+        n_lane0=cfg["n_lane0"] if cfg["n_lane0"] is not None else cfg["n_vehicles"],
+        n_lane1=cfg["n_lane1"] if cfg["n_lane1"] is not None else 0,
+        stagger=cfg["stagger"] or 0.0,
+        delay=cfg["delay"],
+        dt=cfg["dt"],
+        t_end=cfg["t_end"],
+        record_stride=cfg["record_stride"],
     )
-    summary = {
-        "termination": record.termination_reason,
-        "termination_time": record.termination_time,
-    }
+    artifacts, terminations, summary = _write_trajectory(cfg, out, record, cfg["base_seed"])
+    events = out / "events.csv"
+    write_events_csv(events, record.events, _meta_lines(cfg))
+    artifacts.append(events.name)
     return artifacts, terminations, summary
 
+
+_REPLICA_KINDS = {"load-balance": _LOAD_BALANCE, "aggressive": _AGGRESSIVE}
 
 _RUNNERS = {
     "fundamental-diagram": _run_fundamental_diagram,
     "single-lane": _run_single_lane,
     "stability": _run_stability,
     "tau-curve": _run_tau_curve,
-    "load-balance": _run_load_balance,
-    "aggressive": _run_aggressive,
+    **{name: partial(_run_replica_kind, kind=kind) for name, kind in _REPLICA_KINDS.items()},
     "custom": _run_custom,
 }
 
@@ -511,12 +463,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1) -> RunManifest:
         kind=cfg.kind,
         config=cfg.to_dict(),
         config_hash=config_hash(cfg.to_dict()),
-        seeds=cfg.seeds if cfg.kind in ("load-balance", "aggressive", "custom") else [],
+        seeds=[t["seed"] for t in terminations if t["seed"] is not None],
         artifacts=artifacts,
         terminations=terminations,
         summary=summary,
         wall_clock_s=_time.perf_counter() - started,
-        workers=workers,
+        workers=_pool_size(workers, len(cfg.seeds)) if cfg.kind in _REPLICA_KINDS else 1,
     )
     manifest.write(out)
     return manifest

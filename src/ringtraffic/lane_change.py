@@ -23,7 +23,7 @@ from .records import (
     LaneEvent,
     TrajectoryRecord,
 )
-from .single_lane import HistoryBuffer
+from .single_lane import HistoryBuffer, find_collisions
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -41,23 +41,6 @@ class LaneChangeParams:
             raise ParameterError(f"r must be nonnegative, got {self.r!r}")
         if not (math.isfinite(self.p) and self.p >= 0):
             raise ParameterError(f"p must be nonnegative, got {self.p!r}")
-
-
-@dataclass
-class DriverState:
-    """Per-driver view used at the API boundary and in tests."""
-
-    frustration: float = 0.0
-    lane: int = 0
-    lambda_override: float | None = None
-    lane_change_count: int = 0
-    passed_events: int = 0
-
-    def __post_init__(self):
-        if self.frustration < 0:
-            raise ParameterError(f"frustration must be nonnegative, got {self.frustration!r}")
-        if self.lane not in (0, 1):
-            raise ParameterError(f"lane must be 0 or 1, got {self.lane!r}")
 
 
 @dataclass
@@ -85,18 +68,6 @@ class TwoLaneState:
     @property
     def n_vehicles(self) -> int:
         return len(self.positions)
-
-    def count(self, lane: int) -> int:
-        return int(np.count_nonzero(self.lanes == lane))
-
-    def driver(self, vehicle: int) -> DriverState:
-        return DriverState(
-            frustration=float(self.phis[vehicle]),
-            lane=int(self.lanes[vehicle]),
-            lambda_override=float(self.lambdas[vehicle]),
-            lane_change_count=int(self.lane_change_counts[vehicle]),
-            passed_events=int(self.passed_counts[vehicle]),
-        )
 
 
 def init_two_lane(
@@ -191,11 +162,6 @@ def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length
     return out
 
 
-def adjacent_headway(state: TwoLaneState, vehicle: int, p: ModelParams) -> float:
-    """Adjacent-lane headway of one vehicle from true current positions."""
-    return float(adjacent_headways(state.positions, state.lanes, p.track_length)[vehicle])
-
-
 def attempt_probability(phi):
     """Probability of a lane-change attempt per second, ``(2/pi) * arctan(phi)``."""
     phi_arr = np.asarray(phi, dtype=float)
@@ -221,18 +187,19 @@ def per_step_attempt_probability(phi, dt: float):
     return prob
 
 
-def frustration_update(
-    phi: float, own_h: float, adj_h: float, passes: int, lp: LaneChangeParams, dt: float
-) -> float:
+def frustration_update(phi, own_h, adj_h, passes, lp: LaneChangeParams, dt: float):
     """One frustration step: ramp by the lane comparison, jump per pass, clamp at 0.
 
-    The reset after an executed lane change is applied by the step executor,
-    not here.
+    Arguments broadcast, so one call updates a whole fleet.  The reset after
+    an executed lane change is applied by the step executor, not here.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    ramp = lp.r if own_h < adj_h else -lp.r
-    return max(0.0, phi + ramp * dt + lp.p * passes)
+    ramp = np.where(own_h < adj_h, lp.r, -lp.r)
+    updated = np.maximum(0.0, phi + ramp * dt + lp.p * passes)
+    if np.ndim(updated) == 0:
+        return float(updated)
+    return updated
 
 
 def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams) -> bool:
@@ -345,10 +312,8 @@ def two_lane_step(
     def phi_and_step_prob(lanes):
         own = own_headways(ref_pos, lanes, length)
         adj = adjacent_headways(ref_pos, lanes, length)
-        ramp = np.where(own < adj, lp.r, -lp.r)
-        phi = np.maximum(0.0, phis0 + ramp * dt + lp.p * pending)
-        prob = 1.0 - (1.0 - TWO_OVER_PI * np.arctan(phi)) ** dt
-        return phi, prob
+        phi = frustration_update(phis0, own, adj, pending, lp, dt)
+        return phi, per_step_attempt_probability(phi, dt)
 
     phi_vec, prob_vec = phi_and_step_prob(state.lanes)
     scan = _scan_order(state.positions, state.lanes, length)
@@ -397,15 +362,10 @@ def two_lane_step(
         changed=changed,
     )
 
-    true_h = own_headways(state.positions, state.lanes, length)
-    crashed = np.flatnonzero(true_h <= p.car_size)
-    if crashed.size:
-        outcome.collisions = [
-            CollisionReport(
-                time=state.time, follower_index=int(j), headway_at_collision=float(true_h[j])
-            )
-            for j in crashed
-        ]
+    outcome.collisions = find_collisions(
+        own_headways(state.positions, state.lanes, length), state.time, p
+    )
+    if outcome.collisions:
         for report in outcome.collisions:
             events.append(
                 LaneEvent(

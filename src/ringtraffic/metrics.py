@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .core import velocity_from_headway
 from .errors import InsufficientDataError, ParameterError, RangeError, ShapeError
@@ -89,6 +88,8 @@ def cyclic_amplitudes(velocities, v_eq: float, prominence: float) -> np.ndarray:
     ``prominence`` rejects numerical ripple.  At least three minima are
     required for a growth fit to make sense downstream.
     """
+    from scipy.signal import find_peaks  # deferred: the import costs about 1 s
+
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
         raise ShapeError("velocity series must be one-dimensional")

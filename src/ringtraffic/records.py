@@ -1,6 +1,7 @@
 """Trajectory records shared by the simulators, the metrics, and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +32,6 @@ class LaneEvent:
     from_lane: int
     to_lane: int
     phi_before: float
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
 
 
 @dataclass
@@ -102,30 +97,49 @@ class TrajectoryRecord:
     def write_csv(self, path, extra_metadata: dict | None = None) -> None:
         """Write ``t, vehicle, x_unwrapped, v`` rows (plus ``lane, phi`` when
         lane data is present), preceded by ``#`` metadata lines."""
-        two_lane = self.lanes is not None
-        columns = "t,vehicle,x_unwrapped,v"
-        if two_lane:
-            columns += ",lane,phi"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.metadata_lines(extra_metadata):
-                fh.write(line + "\n")
-            fh.write(columns + "\n")
-            for s, t in enumerate(self.times):
-                for j in range(self.n_vehicles):
-                    row = [_fmt(t), str(j), _fmt(self.positions[s, j]), _fmt(self.velocities[s, j])]
-                    if two_lane:
-                        row.append(str(int(self.lanes[s, j])))
-                        row.append(_fmt(self.phis[s, j]))
-                    fh.write(",".join(row) + "\n")
+        columns = ["t", "vehicle", "x_unwrapped", "v"]
+        values = [self.times[:, None], np.arange(self.n_vehicles), self.positions, self.velocities]
+        if self.lanes is not None:
+            columns += ["lane", "phi"]
+            values += [self.lanes, self.phis]
+        write_csv(path, self.metadata_lines(extra_metadata), columns, values)
+
+
+# Rows formatted per block; bounds the memory of the text built at once.
+CHUNK_ROWS = 1 << 14
+
+_SPEC = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s"}
+
+
+def write_csv(path, metadata_lines, columns, values) -> None:
+    """Write ``#`` metadata lines, a header, and one row per element of the
+    broadcast ``values`` (one array-like per column), in C order.
+
+    Integer columns print with ``%d``, float columns with ``%.12g`` and string
+    columns verbatim.  Rows are formatted in blocks of about ``CHUNK_ROWS``
+    along the leading axis, so broadcast inputs are never expanded whole.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(v) for v in values))
+    row = ",".join(_SPEC[a.dtype.kind] for a in arrays) + "\n"
+    shape = arrays[0].shape
+    step = max(1, CHUNK_ROWS // math.prod(shape[1:]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in metadata_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, shape[0], step):
+            block = [a[start : start + step].ravel().tolist() for a in arrays]
+            fh.write("".join(map(row.__mod__, zip(*block))))
+
+
+_EVENT_FIELDS = ("time", "vehicle", "kind", "from_lane", "to_lane", "phi_before")
 
 
 def write_events_csv(path, events: list[LaneEvent], metadata_lines: list[str] | None = None) -> None:
     """Write the event channel: ``t, vehicle, event, from_lane, to_lane, phi_before``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in metadata_lines or []:
-            fh.write(line + "\n")
-        fh.write("t,vehicle,event,from_lane,to_lane,phi_before\n")
-        for e in events:
-            fh.write(
-                f"{_fmt(e.time)},{e.vehicle},{e.kind},{e.from_lane},{e.to_lane},{_fmt(e.phi_before)}\n"
-            )
+    write_csv(
+        path,
+        metadata_lines or [],
+        ["t", "vehicle", "event", "from_lane", "to_lane", "phi_before"],
+        [[getattr(e, name) for e in events] for name in _EVENT_FIELDS],
+    )

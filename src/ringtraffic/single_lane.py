@@ -87,15 +87,6 @@ class HistoryBuffer:
         return self._buf[(self._head + 1) % (self.delay_steps + 1)]
 
 
-def delayed_headway(hist: HistoryBuffer, follower_index: int, track_length: float) -> float:
-    """Headway of one follower computed from the snapshot at ``t - delay``."""
-    snap = hist.positions_at_delay()
-    n = len(snap)
-    if follower_index == n - 1:
-        return float(snap[0] + track_length - snap[-1])
-    return float(snap[follower_index + 1] - snap[follower_index])
-
-
 def init_ring_equilibrium(n_vehicles: int, p: ModelParams) -> RingState:
     """Equally spaced vehicles, ``x_j = j * L / N`` for ``j = 0..N-1``."""
     if n_vehicles < 2:
@@ -136,38 +127,24 @@ def perturb(
     return RingState(positions=positions, time=state.time)
 
 
-def detect_collisions(state: RingState, p: ModelParams) -> list[CollisionReport]:
+def find_collisions(headways: np.ndarray, time: float, p: ModelParams) -> list[CollisionReport]:
     """Followers whose true headway is at most one vehicle length (inclusive)."""
-    h = ring_headways(state.positions, p.track_length)
-    hits = np.flatnonzero(h <= p.car_size)
     return [
-        CollisionReport(time=state.time, follower_index=int(j), headway_at_collision=float(h[j]))
-        for j in hits
+        CollisionReport(time=time, follower_index=int(j), headway_at_collision=float(headways[j]))
+        for j in np.flatnonzero(headways <= p.car_size)
     ]
 
 
-def _step(positions, hist: HistoryBuffer, lambda_rates, p: ModelParams, dt: float):
-    """One explicit Euler step from the delayed headways; advances the history."""
-    delayed = ring_headways(hist.positions_at_delay(), p.track_length)
-    v = _velocity(delayed, lambda_rates, p)
-    new_positions = positions + dt * v
+def advance(positions: np.ndarray, hist: HistoryBuffer, lambda_rates, p: ModelParams):
+    """One explicit Euler step of ``hist.dt`` under the delayed velocity law.
+
+    Returns the velocities, set by the headways one reaction delay ago, and
+    the advanced positions, which are pushed onto the history.
+    """
+    v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lambda_rates, p)
+    new_positions = positions + hist.dt * v
     hist.push(new_positions)
-    return new_positions, v
-
-
-def euler_step(
-    state: RingState,
-    hist: HistoryBuffer,
-    p: ModelParams,
-    dt: float,
-    lambda_rates=None,
-) -> RingState:
-    """Advance every vehicle by one step of the delayed velocity law."""
-    if abs(dt - hist.dt) > 1e-12 * max(1.0, hist.dt):
-        raise ConfigurationError(f"dt {dt!r} does not match the history step {hist.dt!r}")
-    lam = p.lambda_rate if lambda_rates is None else lambda_rates
-    new_positions, _ = _step(state.positions, hist, lam, p, dt)
-    return RingState(positions=new_positions, time=state.time + dt)
+    return v, new_positions
 
 
 def run_single_lane(
@@ -209,29 +186,23 @@ def run_single_lane(
     times, pos_samples, vel_samples = [], [], []
     reason = TERMINATED_COMPLETED
     termination_time = t_end
-    collisions: list[CollisionReport] = []
 
     for s in range(steps + 1):
-        h_true = ring_headways(positions, p.track_length)
-        crashed = np.flatnonzero(h_true <= p.car_size)
-        v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lam, p)
+        collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
+        # A collision or the final sample discards this step's move.
+        v, next_positions = advance(positions, hist, lam, p)
         last = s == steps
-        if crashed.size or last or s % record_stride == 0:
+        if collisions or last or s % record_stride == 0:
             times.append(t)
-            pos_samples.append(positions.copy())
-            vel_samples.append(np.asarray(v, dtype=float).copy())
-        if crashed.size:
-            collisions = [
-                CollisionReport(time=t, follower_index=int(j), headway_at_collision=float(h_true[j]))
-                for j in crashed
-            ]
+            pos_samples.append(positions)
+            vel_samples.append(v)
+        if collisions:
             reason = TERMINATED_COLLISION
             termination_time = t
             break
         if last:
             break
-        positions = positions + dt * v
-        hist.push(positions)
+        positions = next_positions
         t = round((s + 1) * dt, 12)
 
     return TrajectoryRecord(

@@ -65,23 +65,25 @@ def growth_sweep(table1_params):
 
 @pytest.fixture(scope="session")
 def load_balance_dirs(tmp_path_factory):
-    """The seeded load-balance experiment, executed twice at identical config."""
+    """The seeded load-balance experiment, executed twice at identical config:
+    in-process, then on two worker processes."""
     cfg = load_config(kind="load-balance")
     dirs = []
-    for name in ("lb_run1", "lb_run2"):
+    for name, workers in (("lb_run1", 1), ("lb_run2", 2)):
         out = tmp_path_factory.mktemp(name)
-        run_scenario(cfg, out)
+        run_scenario(cfg, out, workers=workers)
         dirs.append(out)
     return dirs
 
 
 @pytest.fixture(scope="session")
 def aggressive_dirs(tmp_path_factory):
-    """The seeded aggressive-driver experiment, executed twice at identical config."""
+    """The seeded aggressive-driver experiment, executed twice at identical config:
+    in-process, then on two worker processes."""
     cfg = load_config(kind="aggressive")
     dirs = []
-    for name in ("agg_run1", "agg_run2"):
+    for name, workers in (("agg_run1", 1), ("agg_run2", 2)):
         out = tmp_path_factory.mktemp(name)
-        run_scenario(cfg, out)
+        run_scenario(cfg, out, workers=workers)
         dirs.append(out)
     return dirs

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,14 +203,17 @@ def test_seed_and_replicas_flags(tmp_path):
     assert manifest["config"]["base_seed"] == 777
 
 
-def test_workers_bounded_by_replicas_and_cpus(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps ProcessPoolExecutor for an in-process stand-in that starts no
+    process; returns the list of pool sizes requested."""
     import ringtraffic.cli as cli
 
-    pools = []
+    sizes = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -219,12 +225,18 @@ def test_workers_bounded_by_replicas_and_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_workers_bounded_by_replicas_and_cpus(monkeypatch, pool_sizes):
+    import ringtraffic.cli as cli
+
     # a 1-cpu host runs the replicas in-process and builds no pool
     for cpus, expected in ((8, [3]), (2, [2]), (1, [])):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        pools.clear()
+        pool_sizes.clear()
         assert cli._run_replicas(abs, [-1, -2, -3], workers=10**6) == [1, 2, 3]
-        assert pools == expected
+        assert pool_sizes == expected
 
 
 def test_workers_do_not_change_artifacts(tmp_path):
@@ -236,3 +248,43 @@ def test_workers_do_not_change_artifacts(tmp_path):
     assert m1.artifacts == m2.artifacts
     for name in m1.artifacts:
         assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+
+def test_manifest_records_the_processes_that_ran(tmp_path, monkeypatch, pool_sizes):
+    import ringtraffic.cli as cli
+
+    status = main(["stability", "--out", str(tmp_path / "stab"), "--quiet", "--workers", "1000"])
+    assert status == EXIT_OK
+    assert json.loads((tmp_path / "stab" / "manifest.json").read_text())["workers"] == 1
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    cfg = load_config(kind="load-balance", overrides=["t_end=10", "replicas=3"])
+    manifest = run_scenario(cfg, tmp_path / "lb", workers=10**6)
+    assert pool_sizes == [3]
+    assert manifest.workers == 3
+    assert json.loads((tmp_path / "lb" / "manifest.json").read_text())["workers"] == 3
+
+
+def test_manifest_lists_only_the_seeds_used(tmp_path):
+    one_lane = load_config(kind="custom", overrides=["t_end=5"])
+    assert run_scenario(one_lane, tmp_path / "one").seeds == []
+    two_lane = load_config(
+        kind="custom",
+        overrides=["lanes=2", "n_lane0=30", "dt=0.05", "t_end=5", "replicas=3", "base_seed=41"],
+    )
+    run_scenario(two_lane, tmp_path / "two")
+    assert json.loads((tmp_path / "two" / "manifest.json").read_text())["seeds"] == [41]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    import ringtraffic
+
+    src_dir = str(Path(ringtraffic.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src_dir!r}); import ringtraffic.cli; "
+        "print('scipy.signal' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

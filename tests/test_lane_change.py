@@ -7,7 +7,7 @@ from ringtraffic import (
     HistoryBuffer,
     LaneChangeParams,
     TwoLaneState,
-    adjacent_headway,
+    adjacent_headways,
     attempt_probability,
     detect_passes,
     frustration_update,
@@ -35,25 +35,28 @@ def make_state(positions0, positions1, p, phis=None, lambdas=None):
     )
 
 
+def adjacent(state, p):
+    return adjacent_headways(state.positions, state.lanes, p.track_length)
+
+
 def test_adjacent_headway_empty_lane_is_infinite(table1_params):
     state = make_state([0.0, 20.0], [], table1_params)
-    assert adjacent_headway(state, 0, table1_params) == math.inf
+    assert np.all(adjacent(state, table1_params) == math.inf)
 
 
 def test_adjacent_headway_staggered_lanes(table1_params):
     state = init_two_lane(table1_params, 25, 25, stagger=20.0)
     own = own_headways(state.positions, state.lanes, table1_params.track_length)
-    for vehicle in range(50):
-        assert adjacent_headway(state, vehicle, table1_params) == pytest.approx(20.0)
-        assert own[vehicle] == pytest.approx(40.0)
+    np.testing.assert_allclose(adjacent(state, table1_params), 20.0)
+    np.testing.assert_allclose(own, 40.0)
 
 
 def test_adjacent_headway_side_by_side_not_ahead(table1_params):
     state = make_state([100.0], [100.0, 150.0], table1_params)
-    assert adjacent_headway(state, 0, table1_params) == pytest.approx(50.0)
+    assert adjacent(state, table1_params)[0] == pytest.approx(50.0)
     # alone side-by-side: the next vehicle ahead is the image one lap around
     solo = make_state([100.0], [100.0], table1_params)
-    assert adjacent_headway(solo, 0, table1_params) == pytest.approx(1000.0)
+    np.testing.assert_allclose(adjacent(solo, table1_params), 1000.0)
 
 
 def test_frustration_ramp_up(table1_params):
@@ -70,6 +73,20 @@ def test_frustration_pass_jump():
     lp = LaneChangeParams(r=0.1, p=0.2)
     assert frustration_update(0.0, 40.0, 20.0, 1, lp, 1.0) == pytest.approx(0.1)
     assert frustration_update(0.0, 20.0, 40.0, 1, lp, 1.0) == pytest.approx(0.3)
+
+
+def test_frustration_update_is_elementwise():
+    lp = LaneChangeParams(r=0.1, p=0.2)
+    phi = np.array([0.3, 0.05, 0.0, 0.0])
+    own = np.array([20.0, 40.0, 40.0, 20.0])
+    adj = np.array([40.0, 20.0, 20.0, 40.0])
+    passes = np.array([0, 0, 1, 1])
+    updated = frustration_update(phi, own, adj, passes, lp, 0.5)
+    expected = [
+        max(0.0, f + (lp.r if o < a else -lp.r) * 0.5 + lp.p * k)
+        for f, o, a, k in zip(phi, own, adj, passes)
+    ]
+    np.testing.assert_array_equal(updated, expected)
 
 
 def test_attempt_probability_values():
@@ -174,6 +191,26 @@ def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
     np.testing.assert_allclose(lane0, single.positions[-1], atol=1e-12)
     lane1 = state.positions[state.lanes == 1]
     np.testing.assert_allclose(lane1, single.positions[-1] + 20.0, atol=1e-12)
+
+
+def test_two_lane_step_applies_frustration_law(table1_params):
+    lp = LaneChangeParams(r=0.1, p=0.2, rng_seed=3)
+    state = init_two_lane(table1_params, 30, 20, stagger=7.0)
+    state.phis = np.linspace(0.0, 0.02, 50)  # small enough that nobody attempts
+    state.pending_passes[[4, 33]] = 1
+    hist = HistoryBuffer(state.positions, 0.0, 0.05)
+    length = table1_params.track_length
+    expected = frustration_update(
+        state.phis,
+        own_headways(state.positions, state.lanes, length),
+        adjacent_headways(state.positions, state.lanes, length),
+        state.pending_passes,
+        lp,
+        0.05,
+    )
+    outcome = two_lane_step(state, hist, lp, table1_params, 0.05, np.random.default_rng(3))
+    assert not outcome.changed.any()
+    np.testing.assert_array_equal(state.phis, expected)
 
 
 def test_staggered_equilibrium_executes_no_changes(table1_params):

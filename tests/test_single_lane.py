@@ -6,10 +6,8 @@ import pytest
 from ringtraffic import (
     HistoryBuffer,
     ModelParams,
-    RingState,
-    delayed_headway,
-    detect_collisions,
-    euler_step,
+    advance,
+    find_collisions,
     init_ring_equilibrium,
     perturb,
     run_single_lane,
@@ -73,28 +71,33 @@ def test_history_requires_integer_delay_multiple(table1_params):
 def test_delayed_headway_zero_delay_is_current(table1_params):
     state = init_ring_equilibrium(50, table1_params)
     hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    assert delayed_headway(hist, 0, table1_params.track_length) == pytest.approx(20.0)
+    v, _ = advance(state.positions, hist, table1_params.lambda_rate, table1_params)
+    np.testing.assert_allclose(v, velocity_from_headway(20.0, table1_params), rtol=0, atol=1e-12)
 
 
 def test_delayed_headway_uniform_motion_preserves_spacing(table1_params):
     state = init_ring_equilibrium(50, table1_params)
     hist = HistoryBuffer(state.positions, delay=0.1, dt=0.01)
+    positions = state.positions
     for _ in range(25):
-        state = euler_step(state, hist, table1_params, 0.01)
+        v, positions = advance(positions, hist, table1_params.lambda_rate, table1_params)
+    h = ring_headways(hist.positions_at_delay(), table1_params.track_length)
     for j in (0, 17, 49):
-        assert delayed_headway(hist, j, table1_params.track_length) == pytest.approx(20.0)
+        assert h[j] == pytest.approx(20.0)
+        assert v[j] == pytest.approx(V_EQ_50)
 
 
 def test_delayed_headway_holds_initial_snapshot():
     """First steps of a small perturbed ring, checked against hand arithmetic."""
     p = ModelParams(track_length=100.0)
     dt, delay = 0.1, 0.2
-    state = RingState(np.array([1.0, 25.0, 50.0, 75.0]))  # vehicle 0 displaced +1
-    hist = HistoryBuffer(state.positions, delay, dt)
-    x0 = state.positions.copy()
+    positions = np.array([1.0, 25.0, 50.0, 75.0])  # vehicle 0 displaced +1
+    hist = HistoryBuffer(positions, delay, dt)
+    x0 = positions.copy()
 
     # While t <= delay the perceived headways stay at the held initial values.
     expected_h0 = np.array([24.0, 25.0, 25.0, 26.0])
+    v0 = velocity_from_headway(expected_h0, p)
     for _ in range(2):
         np.testing.assert_allclose(
             ring_headways(hist.positions_at_delay(), p.track_length),
@@ -102,53 +105,71 @@ def test_delayed_headway_holds_initial_snapshot():
             rtol=0,
             atol=1e-12,
         )
-        state = euler_step(state, hist, p, dt)
+        v, positions = advance(positions, hist, p.lambda_rate, p)
+        np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
     # At t = delay the lookup still lands on the initial snapshot (t - delay = 0);
     # one more step later it returns x(dt) = x(0) + dt * v(h(initial)).
     np.testing.assert_allclose(hist.positions_at_delay(), x0, atol=1e-12)
-    state = euler_step(state, hist, p, dt)
-    v0 = velocity_from_headway(expected_h0, p)
+    v, positions = advance(positions, hist, p.lambda_rate, p)
+    np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(hist.positions_at_delay(), x0 + dt * v0, atol=1e-12)
 
 
 def test_euler_step_advances_equilibrium_uniformly(table1_params):
     state = init_ring_equilibrium(50, table1_params)
     hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    stepped = euler_step(state, hist, table1_params, 0.01)
-    np.testing.assert_allclose(
-        stepped.positions - state.positions, 0.01 * V_EQ_50, rtol=0, atol=1e-12
-    )
-    h = ring_headways(stepped.positions, table1_params.track_length)
+    _, stepped = advance(state.positions, hist, table1_params.lambda_rate, table1_params)
+    np.testing.assert_allclose(stepped - state.positions, 0.01 * V_EQ_50, rtol=0, atol=1e-12)
+    h = ring_headways(stepped, table1_params.track_length)
     np.testing.assert_allclose(h, 20.0, atol=1e-12)
+    # the step pushed the advanced positions onto the history
+    np.testing.assert_array_equal(hist.positions_at_delay(), stepped)
 
 
 def test_euler_step_zero_velocity_below_minimal_headway():
     p = ModelParams(track_length=100.0)
-    state = RingState(np.array([0.0, 7.0, 50.0]))  # follower 0 sees 7 m < d_min
-    hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    stepped = euler_step(state, hist, p, 0.01)
-    assert stepped.positions[0] == 0.0
-    assert stepped.positions[1] > 7.0
+    positions = np.array([0.0, 7.0, 50.0])  # follower 0 sees 7 m < d_min
+    hist = HistoryBuffer(positions, delay=0.0, dt=0.01)
+    v, stepped = advance(positions, hist, p.lambda_rate, p)
+    assert v[0] == 0.0
+    assert stepped[0] == 0.0
+    assert stepped[1] > 7.0
 
 
-def test_euler_step_rejects_mismatched_dt(table1_params):
-    state = init_ring_equilibrium(10, table1_params)
+def test_advance_uses_per_vehicle_rates(table1_params):
+    state = init_ring_equilibrium(50, table1_params)
     hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    with pytest.raises(ConfigurationError):
-        euler_step(state, hist, table1_params, 0.02)
+    rates = np.full(50, table1_params.lambda_rate)
+    rates[3] = 2.0
+    v, _ = advance(state.positions, hist, rates, table1_params)
+    fast = ModelParams(lambda_rate=2.0)
+    assert v[3] == pytest.approx(velocity_from_headway(20.0, fast))
+    np.testing.assert_allclose(np.delete(v, 3), V_EQ_50, rtol=0, atol=1e-12)
 
 
 def test_collision_detection_boundary(table1_params):
-    clear = RingState(np.array([0.0, 20.0]), time=3.0)
-    assert detect_collisions(clear, table1_params) == []
-    touching = RingState(np.array([0.0, 5.0]), time=3.0)
-    reports = detect_collisions(touching, table1_params)
-    assert len(reports) == 1
-    assert reports[0].follower_index == 0
-    assert reports[0].headway_at_collision == pytest.approx(5.0)
-    assert reports[0].time == 3.0
-    apart = RingState(np.array([0.0, 5.01]), time=3.0)
-    assert detect_collisions(apart, table1_params) == []
+    def reports(positions):
+        h = ring_headways(np.array(positions), table1_params.track_length)
+        return find_collisions(h, 3.0, table1_params)
+
+    assert reports([0.0, 20.0]) == []
+    touching = reports([0.0, 5.0])
+    assert len(touching) == 1
+    assert touching[0].follower_index == 0
+    assert touching[0].headway_at_collision == pytest.approx(5.0)
+    assert touching[0].time == 3.0
+    assert reports([0.0, 5.01]) == []
+
+
+def test_single_lane_run_stops_at_first_collision(table1_params):
+    record = run_single_lane(table1_params, 50, 0.75, 0.01, 300.0, perturbation=(0, 1.0))
+    assert record.termination_reason == "collision"
+    h = ring_headways(record.positions[-1], table1_params.track_length)
+    assert record.collisions == find_collisions(h, record.times[-1], table1_params)
+    assert record.collisions and record.termination_time == record.times[-1]
+    # no earlier sample had closed a headway to the vehicle size
+    for positions in record.positions[:-1]:
+        assert np.all(ring_headways(positions, table1_params.track_length) > table1_params.car_size)
 
 
 def test_equilibrium_is_fixed_point(table1_params):
@@ -166,12 +187,12 @@ def test_translation_invariance(table1_params):
     shift = 123.0
 
     def trajectory(initial):
-        state = RingState(initial.copy())
-        hist = HistoryBuffer(state.positions, delay=0.5, dt=0.05)
+        positions = initial.copy()
+        hist = HistoryBuffer(positions, delay=0.5, dt=0.05)
         out = []
         for _ in range(400):
-            state = euler_step(state, hist, table1_params, 0.05)
-            out.append(state.positions.copy())
+            _, positions = advance(positions, hist, table1_params.lambda_rate, table1_params)
+            out.append(positions)
         return np.stack(out)
 
     plain = trajectory(base.positions)
