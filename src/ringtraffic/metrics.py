@@ -13,6 +13,7 @@ from .core import velocity_from_headway
 from .errors import InsufficientDataError, ParameterError, RangeError, ShapeError
 from .records import TrajectoryRecord
 from .single_lane import ring_crossings
+from .stability import rightmost_roots
 
 
 @dataclass(frozen=True)
@@ -77,50 +78,21 @@ def flow_field(record: TrajectoryRecord, times, positions, delta: float) -> Flow
     return FlowField(times=times, positions=positions, q=q, delta=delta)
 
 
-def cyclic_amplitudes(velocities, v_eq: float, prominence: float) -> np.ndarray:
-    """Per-cycle oscillation amplitudes ``f(n) = v_eq - v_min(n)``.
+def windowed_amplitudes(velocities, v_eq: float, dt: float, window: float) -> np.ndarray:
+    """Per-period amplitudes ``v_eq - min(v)`` over whole windows of ``window`` s.
 
-    Cycles are delimited by successive local minima of the velocity series;
-    ``prominence`` rejects numerical ripple.  At least three minima are
-    required for a growth fit to make sense downstream.
-    """
-    from scipy.signal import find_peaks  # deferred: the import costs about 1 s
-
-    v = np.asarray(velocities, dtype=float)
-    if v.ndim != 1:
-        raise ShapeError("velocity series must be one-dimensional")
-    minima, _ = find_peaks(-v, prominence=prominence)
-    if minima.size < 3:
-        raise InsufficientDataError(
-            f"found {minima.size} velocity minima; need at least 3 cycles"
-        )
-    return v_eq - v[minima]
-
-
-def windowed_amplitudes(
-    velocities, v_eq: float, dt: float, window: float, skip_initial: int = 0
-) -> np.ndarray:
-    """Per-period amplitudes ``v_eq - min(v)`` over fixed windows of ``window`` s.
-
-    Robust variant of :func:`cyclic_amplitudes` for signals whose oscillation
-    packet carries several ripples per period: chopping at the period scale
-    keeps exactly one minimum per cycle.  ``skip_initial`` drops leading cycles
-    dominated by the injection transient; a trailing partial window is ignored.
+    ``dt`` is the spacing of the series.  Chopping at the period scale keeps
+    exactly one minimum per cycle, however many ripples ride on the carrier;
+    a trailing partial window is ignored.
     """
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 1:
         raise ShapeError("velocity series must be one-dimensional")
-    if not (math.isfinite(window) and window > 0 and dt > 0):
-        raise ParameterError("window and dt must be positive")
+    if not (math.isfinite(window) and dt > 0 and window >= dt):
+        raise ParameterError(f"need a finite window of at least dt={dt!r} s, got {window!r}")
     size = int(round(window / dt))
     n_windows = v.size // size
-    if n_windows - skip_initial < 3:
-        raise InsufficientDataError(
-            f"series spans {n_windows} cycles of {window} s; need at least "
-            f"{skip_initial + 3}"
-        )
-    f = np.array([v_eq - v[i * size : (i + 1) * size].min() for i in range(n_windows)])
-    return f[skip_initial:]
+    return v_eq - v[: n_windows * size].reshape(n_windows, size).min(axis=1)
 
 
 def fit_growth_rate(amplitudes) -> GrowthFit:
@@ -141,20 +113,26 @@ def fit_growth_rate(amplitudes) -> GrowthFit:
     return GrowthFit(amplitudes=f, a=float(np.exp(log_a)), k=float(k), residual=residual)
 
 
-def growth_rate_from_record(
-    record: TrajectoryRecord, vehicle: int = 0, prominence: float | None = None
-) -> GrowthFit:
+def growth_rate_from_record(record: TrajectoryRecord, vehicle: int = 0) -> GrowthFit:
     """Growth fit for one vehicle of an equilibrium-based perturbation run.
 
-    The equilibrium velocity is taken from the run's equal-spacing headway;
-    the default prominence floor is ``1e-4 * v_max``.
+    The equilibrium velocity is taken from the run's equal-spacing headway.
+    Amplitudes are read over windows of one period ``2 pi / |Im lambda_1|`` of
+    the slowest ring mode (k = 1), from its closed-form root, with the window
+    length in samples taken from the record's sample spacing, so any
+    recording stride sees the same cycles.  The first window, dominated by the
+    injection transient, is dropped.
     """
     p = record.params
-    if prominence is None:
-        prominence = 1e-4 * p.v_max
-    v_eq = velocity_from_headway(p.track_length / record.n_vehicles, p)
-    f = cyclic_amplitudes(record.vehicle_velocity(vehicle), v_eq, prominence)
-    return fit_growth_rate(f)
+    n = record.n_vehicles
+    omega = abs(rightmost_roots(n, record.delay, p)[0].imag)
+    cycles = omega * (record.times[-1] - record.times[0]) / (2.0 * math.pi)
+    if cycles < 1:
+        raise InsufficientDataError(f"record spans {cycles:.3g} periods of the k=1 mode")
+    v_eq = velocity_from_headway(p.track_length / n, p)
+    spacing = float(record.times[1] - record.times[0])
+    f = windowed_amplitudes(record.vehicle_velocity(vehicle), v_eq, spacing, 2.0 * math.pi / omega)
+    return fit_growth_rate(f[1:])
 
 
 def lane_imbalance(state) -> int:

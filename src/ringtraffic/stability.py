@@ -134,20 +134,25 @@ def characteristic_roots(eigenvalue: complex, delay: float) -> np.ndarray:
     return roots
 
 
-def max_growth_rate(n_vehicles: int, delay: float, p: ModelParams) -> StabilityVerdict:
-    """Maximal real part of the characteristic roots over all modes.
+def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray:
+    """Rightmost characteristic root of each ring mode k = 1..N-1, in mode order.
 
     The principal Lambert-W branch holds the rightmost root of every mode
-    (Shinozaki & Mori, Automatica 42, 2006), so one branch suffices.
+    (Shinozaki & Mori, Automatica 42, 2006), so one verified branch call
+    suffices; for zero delay the roots are the eigenvalues themselves.
     """
     _check_delay(delay)
     eigs = closed_form_eigenvalues(n_vehicles, p)
     if delay == 0:
-        best = float(np.max(eigs.real))
-        return StabilityVerdict(max_real_part=best, stable=best < 0)
+        return eigs
     lam = lambert_w(eigs * delay, 0) / delay
     _verify(np.abs(lam - eigs * np.exp(-lam * delay)), eigs, "characteristic root")
-    best = float(np.max(lam.real))
+    return lam
+
+
+def max_growth_rate(n_vehicles: int, delay: float, p: ModelParams) -> StabilityVerdict:
+    """Maximal real part of the characteristic roots over all modes."""
+    best = float(np.max(rightmost_roots(n_vehicles, delay, p).real))
     return StabilityVerdict(max_real_part=best, stable=best < 0)
 
 

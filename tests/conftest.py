@@ -4,13 +4,10 @@ import csv
 import numpy as np
 import pytest
 
-from ringtraffic import ModelParams, run_single_lane, velocity_from_headway
+from ringtraffic import ModelParams, growth_rate_from_record, run_single_lane
 from ringtraffic.cli import run_scenario
 from ringtraffic.config import load_config
-from ringtraffic.metrics import fit_growth_rate, windowed_amplitudes
 
-# Time the perturbation wave needs to travel once around the 50-vehicle ring.
-WAVE_PERIOD_50 = 70.0
 GROWTH_DELTAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.75)
 
 
@@ -40,23 +37,18 @@ def table1_params():
 def growth_sweep(table1_params):
     """Perturbation runs over the reaction-time grid with fitted growth rates.
 
-    The fit uses per-wave-period amplitudes of the perturbed vehicle with the
-    injection cycle dropped, so the rate reflects the oscillation dynamics
-    rather than the transient left by the initial displacement.
+    The fit uses amplitudes of the perturbed vehicle over periods of the
+    slowest ring mode with the injection cycle dropped, so the rate reflects
+    the oscillation dynamics rather than the transient left by the initial
+    displacement.
     """
-    v_eq = velocity_from_headway(
-        table1_params.track_length / 50, table1_params
-    )
     out = {}
     for delta in GROWTH_DELTAS:
         record = run_single_lane(
             table1_params, 50, delta, 0.01, 800.0, perturbation=(0, 1.0)
         )
-        amplitudes = windowed_amplitudes(
-            record.vehicle_velocity(0), v_eq, record.dt, WAVE_PERIOD_50, skip_initial=1
-        )
         out[delta] = {
-            "k": fit_growth_rate(amplitudes).k,
+            "k": growth_rate_from_record(record, vehicle=0).k,
             "termination": record.termination_reason,
             "termination_time": record.termination_time,
         }

@@ -169,6 +169,33 @@ def test_single_lane_collision_is_reported_result(tmp_path):
     assert 200 < manifest["summary"]["termination_time"] < 320
 
 
+@pytest.mark.parametrize("delay", [0.6, 0.65, 0.7, 0.75])
+def test_single_lane_growth_fit_sign_matches_stability(tmp_path, csv_columns, delay):
+    from ringtraffic import ModelParams, max_growth_rate
+
+    out = tmp_path / "sl"
+    status = main(
+        [
+            "single-lane", "--out", str(out), "--quiet",
+            "--set", f"delay={delay}", "--set", "t_end=800", "--set", "record_stride=10",
+        ]
+    )
+    assert status == EXIT_OK
+    k = csv_columns(out / "growth_fit.csv")["k"]
+    lsa = max_growth_rate(50, delay, ModelParams()).max_real_part
+    assert np.all(np.sign(k) == np.sign(lsa))
+
+
+def test_single_lane_without_oscillation_skips_the_fit(tmp_path):
+    out = tmp_path / "two"
+    status = main(["single-lane", "--out", str(out), "--quiet", "--set", "n_vehicles=2"])
+    assert status == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"]["k"] is None
+    assert "growth_fit_skipped" in manifest["summary"]
+    assert "growth_fit.csv" not in manifest["artifacts"]
+
+
 def test_bad_config_exit_code(tmp_path):
     status = main(
         ["single-lane", "--out", str(tmp_path / "x"), "--set", "dt=-1", "--quiet"]
@@ -276,15 +303,22 @@ def test_manifest_lists_only_the_seeds_used(tmp_path):
     assert json.loads((tmp_path / "two" / "manifest.json").read_text())["seeds"] == [41]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
     import ringtraffic
 
     src_dir = str(Path(ringtraffic.__file__).parents[1])
+    out = str(tmp_path / "sl")
     code = (
         f"import sys; sys.path.insert(0, {src_dir!r}); import ringtraffic.cli; "
-        "print('scipy.signal' in sys.modules)"
+        "print('scipy.signal' in sys.modules); "
+        "from ringtraffic.config import load_config; "
+        "cfg = load_config(kind='single-lane', overrides=['record_stride=10', "
+        "'flow_grid_nt=3', 'flow_grid_nx=3']); "
+        f"m = ringtraffic.cli.run_scenario(cfg, {out!r}); "
+        "print('growth_fit.csv' in m.artifacts, 'scipy.signal' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    # the default single-lane run fits a growth rate without scipy.signal
+    assert result.stdout.split() == ["False", "True", "False"]

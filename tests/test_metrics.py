@@ -5,11 +5,11 @@ from ringtraffic import (
     ModelParams,
     TrajectoryRecord,
     aggregate_monte_carlo,
-    cyclic_amplitudes,
     fit_growth_rate,
     flow_field,
     flow_rate,
     flow_series,
+    growth_rate_from_record,
     lane_imbalance,
     run_single_lane,
 )
@@ -102,13 +102,20 @@ def test_flow_field_grid(table1_params):
     np.testing.assert_allclose(series, ff.q[:, 1])
 
 
-def test_cyclic_amplitudes_synthetic_oracle():
+def local_minima(v):
+    """Values at the interior local minima of a series: below the left
+    neighbour and not above the right one (test oracle)."""
+    inner = v[1:-1]
+    return inner[(inner < v[:-2]) & (inner <= v[2:])]
+
+
+def test_windowed_amplitudes_synthetic_oracle():
     # v(t) = v_eq - A exp(-t/T) (1 - cos(w t)) / 2 has one minimum per period
     # with amplitude ~ A exp(-2 pi n / (w T)).
     A, T, omega, dt = 2.0, 2000.0, np.pi / 50.0, 0.05
     t = np.arange(0.0, 3000.0, dt)
     v = 10.0 - A * np.exp(-t / T) * (1.0 - np.cos(omega * t)) / 2.0
-    f = cyclic_amplitudes(v, 10.0, prominence=1e-6)
+    f = windowed_amplitudes(v, 10.0, dt, 2.0 * np.pi / omega)
     fit = fit_growth_rate(f)
     assert fit.k == pytest.approx(-2.0 * np.pi / (omega * T), rel=1e-3)
     # minima sit at w t = pi + 2 pi (n - 1), so the fitted intercept carries
@@ -116,27 +123,58 @@ def test_cyclic_amplitudes_synthetic_oracle():
     assert fit.a == pytest.approx(A * np.exp(np.pi / (omega * T)), rel=1e-3)
 
 
-def test_cyclic_amplitudes_constant_series_errors():
+def test_windowed_amplitudes_constant_series_errors():
+    f = windowed_amplitudes(np.full(1000, 7.0), 7.0, 0.05, 5.0)
     with pytest.raises(InsufficientDataError):
-        cyclic_amplitudes(np.full(1000, 7.0), 7.0, prominence=1e-6)
+        fit_growth_rate(f)
 
 
-def test_cyclic_amplitudes_prominence_floor_rejects_ripple():
+def test_windowed_amplitudes_one_per_period_under_ripple():
     t = np.arange(0.0, 200.0, 0.05)
-    # slow carrier with a faster low-amplitude ripple riding on it
+    # slow carrier with a faster low-amplitude ripple riding on it; at the
+    # carrier's troughs, t = 2 pi (2n + 1), the ripple term is lowest too
     v = 10.0 - 0.5 * (1 - np.cos(0.5 * t)) - 0.01 * np.cos(5.0 * t)
-    strict = cyclic_amplitudes(v, 10.0, prominence=0.05)
-    loose = cyclic_amplitudes(v, 10.0, prominence=1e-9)
-    assert len(loose) > len(strict) >= 3
+    f = windowed_amplitudes(v, 10.0, 0.05, 4.0 * np.pi)
+    assert len(f) == 15
+    assert len(local_minima(v)) >= 2 * len(f)  # the ripple adds minima at the crests
+    np.testing.assert_allclose(f, 1.01, atol=1e-3)
 
 
 def test_windowed_amplitudes_matches_minima_on_clean_signal():
     t = np.arange(0.0, 500.0, 0.05)
     v = 10.0 - np.exp(-t / 300.0) * (1 - np.cos(2 * np.pi * t / 50.0))
-    by_minima = cyclic_amplitudes(v, 10.0, prominence=1e-6)
+    by_minima = 10.0 - local_minima(v)
     by_window = windowed_amplitudes(v, 10.0, 0.05, 50.0)
     assert len(by_window) == 10
     np.testing.assert_allclose(by_window, by_minima, rtol=1e-6)
+
+
+def test_windowed_amplitudes_rejects_windows_below_one_sample():
+    with pytest.raises(ParameterError):
+        windowed_amplitudes(np.zeros(100), 0.0, 0.05, 0.01)
+    with pytest.raises(ParameterError):
+        windowed_amplitudes(np.zeros(100), 0.0, 0.05, float("inf"))
+
+
+@pytest.mark.parametrize("delta", [0.7, 0.75])
+def test_growth_rate_from_record_invariant_to_recording_stride(
+    table1_params, growth_sweep, delta
+):
+    coarse = run_single_lane(
+        table1_params, 50, delta, 0.01, 800.0, perturbation=(0, 1.0), record_stride=10
+    )
+    k_fine = growth_sweep[delta]["k"]
+    k_coarse = growth_rate_from_record(coarse).k
+    assert np.sign(k_coarse) == np.sign(k_fine)
+    assert k_coarse == pytest.approx(k_fine, abs=1e-3)
+
+
+def test_growth_rate_from_record_without_oscillation_errors():
+    # at N=2 and zero delay the k=1 eigenvalue 2c is real: no period to window
+    p = ModelParams()
+    record = run_single_lane(p, 2, 0.0, 0.01, 300.0, perturbation=(0, 1.0))
+    with pytest.raises(InsufficientDataError):
+        growth_rate_from_record(record)
 
 
 def test_fit_growth_rate_exact_log_linear():

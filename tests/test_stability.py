@@ -14,6 +14,7 @@ from ringtraffic import (
     critical_reaction_time,
     lambert_w,
     max_growth_rate,
+    rightmost_roots,
 )
 import ringtraffic.stability as stability
 from ringtraffic.errors import NumericalError, ParameterError
@@ -255,6 +256,19 @@ def test_max_growth_rate_calls_lambert_w_once(table1_params, monkeypatch):
     monkeypatch.setattr(stability, "lambert_w", counted)
     max_growth_rate(50, 0.75, table1_params)
     assert calls == [0]
+
+
+def test_rightmost_roots_are_each_modes_rightmost_characteristic_root(table1_params):
+    eigs = closed_form_eigenvalues(50, table1_params)
+    np.testing.assert_array_equal(rightmost_roots(50, 0.0, table1_params), eigs)
+    lam = rightmost_roots(50, 0.75, table1_params)
+    for d, root in zip(eigs[::7], lam[::7]):
+        roots = characteristic_roots(d, 0.75)
+        assert root == roots[np.argmax(roots.real)]
+    # the k=1 mode's period is the ring wave's, about 68.4 s at N=50
+    for delay in np.linspace(0.0, 0.75, 16):
+        lam1 = rightmost_roots(50, float(delay), table1_params)[0]
+        assert 68.3 < 2 * math.pi / abs(lam1.imag) < 68.6
 
 
 @pytest.mark.parametrize("n", [0, 1, -3, 2.5, True])
