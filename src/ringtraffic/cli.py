@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time as _time
@@ -31,17 +32,16 @@ from .errors import (
     ParameterError,
     TrafficError,
 )
-from .lane_change import LaneChangeParams, run_two_lane
+from .lane_change import LaneChangeParams, run_lockstep, run_two_lane
 from .metrics import (
     aggregate_monte_carlo,
-    distance_series,
     flow_field,
     flow_series,
     growth_rate_from_record,
     lane_change_count_series,
-    lane_imbalance_series,
+    lane_imbalance,
 )
-from .records import TERMINATED_COLLISION, write_events_csv
+from .records import TERMINATED_COLLISION, TERMINATED_COMPLETED, TrajectoryRecord, write_events_csv
 # Under its own name, per-layer tracing times the CLI's tables apart from trajectories.
 from .records import write_csv as _write_csv
 from .single_lane import run_single_lane
@@ -222,39 +222,129 @@ def _run_tau_curve(cfg: ScenarioConfig, out: Path, workers: int):
     return [path.name], [], {"tau_s": {str(n): tau for n, tau in zip(cfg["n_list"], taus)}}
 
 
-def _replica_result(record, **tables) -> dict:
-    """What a replica sends back: its tables (each the time column, then one
-    array per series), events and termination, but not the whole record."""
-    return {
-        **tables,
-        "events": record.events,
-        "reason": record.termination_reason,
-        "time": record.termination_time,
-    }
+class _FlowWindow:
+    """Flow at one detector over ``(t - delta, t]`` at every sample with
+    ``t >= delta``, from ``flow_series`` on a rolling record of the last
+    samples: it holds at least ``ceil(delta / spacing) + 2`` of them, enough
+    for every window, and is evaluated a block of samples at a time."""
+
+    def __init__(self, cfg: ScenarioConfig, n_vehicles: int, x: float):
+        self.cfg, self.x, self.delta = cfg, x, cfg["delta_flow"]
+        self.keep = math.ceil(self.delta / (cfg["dt"] * cfg["record_stride"])) + 2
+        self.times = np.empty(2 * self.keep)
+        self.positions = np.empty((2 * self.keep, n_vehicles))
+        self.velocities = np.empty((2 * self.keep, n_vehicles))
+        self.held = 0  # samples in the window
+        self.done = 0  # held samples already evaluated
+        self.flow_times, self.flows = [np.empty(0)], [np.empty(0)]
+
+    def add(self, t, positions, velocities) -> None:
+        if self.held == self.times.size:
+            self._evaluate()
+            for series in (self.times, self.positions, self.velocities):
+                series[: self.keep] = series[-self.keep :]
+            self.held = self.done = self.keep
+        k = self.held
+        self.times[k], self.positions[k], self.velocities[k] = t, positions, velocities
+        self.held += 1
+
+    def _evaluate(self) -> None:
+        times = self.times[self.done : self.held]
+        due = times[times >= self.delta]
+        if due.size:
+            window = TrajectoryRecord(
+                times=self.times[: self.held],
+                positions=self.positions[: self.held],
+                velocities=self.velocities[: self.held],
+                params=self.cfg.params,
+                delay=self.cfg["delay"],
+                dt=self.cfg["dt"],
+                termination_reason=TERMINATED_COMPLETED,
+                termination_time=float(self.times[self.held - 1]),
+            )
+            self.flow_times.append(due)
+            self.flows.append(flow_series(window, self.x, due, self.delta))
+        self.done = self.held
+
+    def table(self) -> list:
+        """The time column and the flow column of every sample seen."""
+        self._evaluate()
+        return [np.concatenate(self.flow_times), np.concatenate(self.flows)]
 
 
-def _load_balance_replica(cfg: ScenarioConfig, seed: int) -> dict:
-    p = cfg.params
-    record = run_two_lane(
-        p,
-        LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed),
+class _LoadBalanceTables:
+    """Per-sample reduction of load-balance rows: lane imbalance and the flow
+    at half the track."""
+
+    def __init__(self, cfg: ScenarioConfig, rows: int, size: int, n_vehicles: int):
+        self.times = np.empty((rows, size))
+        self.imbalance = np.empty((rows, size), dtype=np.int64)
+        x = cfg.params.track_length / 2.0
+        self.flows = [_FlowWindow(cfg, n_vehicles, x) for _ in range(rows)]
+
+    def sample(self, rows, k, t, positions, velocities, lanes, phis):
+        self.times[rows, k] = t
+        self.imbalance[rows, k] = lane_imbalance(lanes)
+        for i, r in enumerate(rows):
+            self.flows[r].add(t, positions[i], velocities[i])
+
+    def tables(self, r: int, end) -> dict:
+        k = end.samples
+        return {
+            "replica": [self.times[r, :k], self.imbalance[r, :k]],
+            "flow": self.flows[r].table(),
+        }
+
+
+class _AggressiveTables:
+    """Per-sample reduction of aggressive-driver rows: the distance driven by
+    the aggressive and the control vehicle, and their lane changes."""
+
+    def __init__(self, vehicles: list[int], rows: int, size: int, n_vehicles: int):
+        self.vehicles = vehicles
+        self.times = np.empty((rows, size))
+        self.start = np.empty((rows, len(vehicles)))
+        self.distance = np.empty((rows, size, len(vehicles)))
+
+    def sample(self, rows, k, t, positions, velocities, lanes, phis):
+        x = positions[:, self.vehicles]
+        if k == 0:
+            self.start[rows] = x
+        self.times[rows, k] = t
+        self.distance[rows, k] = x - self.start[rows]
+
+    def tables(self, r: int, end) -> dict:
+        times = self.times[r, : end.samples]
+        changes = [lane_change_count_series(end.events, v, times) for v in self.vehicles]
+        return {"replica": [times, *changes, *self.distance[r, : end.samples].T]}
+
+
+def _replica_results(sink, ends) -> list[dict]:
+    """What each replica sends back: its tables (each the time column, then
+    one array per series), events and termination, but no trajectory."""
+    return [
+        {**sink.tables(r, end), "events": end.events, "reason": end.reason, "time": end.time}
+        for r, end in enumerate(ends)
+    ]
+
+
+def _load_balance_replicas(cfg: ScenarioConfig, seeds: list[int]) -> list[dict]:
+    sink, ends = run_lockstep(
+        cfg.params,
+        LaneChangeParams(r=cfg["r"], p=cfg["p"]),
+        seeds,
         n_lane0=cfg["n_vehicles"],
         n_lane1=0,
         delay=cfg["delay"],
         dt=cfg["dt"],
         t_end=cfg["t_end"],
         record_stride=cfg["record_stride"],
+        sink=partial(_LoadBalanceTables, cfg),
     )
-    delta = cfg["delta_flow"]
-    flow_times = record.times[record.times >= delta]
-    return _replica_result(
-        record,
-        replica=[record.times, lane_imbalance_series(record)],
-        flow=[flow_times, flow_series(record, p.track_length / 2.0, flow_times, delta)],
-    )
+    return _replica_results(sink, ends)
 
 
-def _aggressive_replica(cfg: ScenarioConfig, seed: int) -> dict:
+def _aggressive_replicas(cfg: ScenarioConfig, seeds: list[int]) -> list[dict]:
     p = cfg.params
     n_half = cfg["n_vehicles"] // 2
     stagger = cfg["stagger"]
@@ -266,9 +356,10 @@ def _aggressive_replica(cfg: ScenarioConfig, seed: int) -> dict:
     control = cfg["control_vehicle"]
     if control is None:
         control = 0  # first vehicle of the unshifted lane
-    record = run_two_lane(
+    sink, ends = run_lockstep(
         p,
-        LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed),
+        LaneChangeParams(r=cfg["r"], p=cfg["p"]),
+        seeds,
         n_lane0=n_half,
         n_lane1=n_half,
         stagger=stagger,
@@ -277,17 +368,9 @@ def _aggressive_replica(cfg: ScenarioConfig, seed: int) -> dict:
         t_end=cfg["t_end"],
         lambda_overrides={aggressive: cfg["aggressive_lambda"]},
         record_stride=cfg["record_stride"],
+        sink=partial(_AggressiveTables, [aggressive, control]),
     )
-    return _replica_result(
-        record,
-        replica=[
-            record.times,
-            lane_change_count_series(record, aggressive),
-            lane_change_count_series(record, control),
-            distance_series(record, aggressive),
-            distance_series(record, control),
-        ],
-    )
+    return _replica_results(sink, ends)
 
 
 def _load_balance_summary(means: dict) -> dict:
@@ -325,19 +408,19 @@ class _Table:
 
 @dataclass(frozen=True)
 class _ReplicaKind:
-    """A seeded multi-replica experiment: the function that runs one replica
-    (module level, so worker processes can import it), the tables it returns
-    and the summary drawn from the mean columns."""
+    """A seeded multi-replica experiment: the function that runs a batch of
+    seeds in lockstep (module level, so worker processes can import it), the
+    tables it returns per seed and the summary drawn from the mean columns."""
 
     prefix: str
-    replica: Callable[[ScenarioConfig, int], dict]
+    replicas: Callable[[ScenarioConfig, list[int]], list[dict]]
     tables: tuple[_Table, ...]
     summarize: Callable[[dict], dict]
 
 
 _LOAD_BALANCE = _ReplicaKind(
     "lb",
-    _load_balance_replica,
+    _load_balance_replicas,
     (
         _Table("replica", "mean", (("delta_n", ("delta_n_mean", "delta_n_std")),)),
         _Table(
@@ -352,7 +435,7 @@ _LOAD_BALANCE = _ReplicaKind(
 
 _AGGRESSIVE = _ReplicaKind(
     "agg",
-    _aggressive_replica,
+    _aggressive_replicas,
     (
         _Table(
             "replica",
@@ -382,9 +465,20 @@ def _run_replicas(worker_fn, arg_list, workers: int) -> list:
     return [worker_fn(args) for args in arg_list]
 
 
+def _batches(seeds: list[int], count: int) -> list[list[int]]:
+    """``count`` contiguous runs of the seeds, in order, sizes within one."""
+    bounds = [len(seeds) * i // count for i in range(count + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _run_replica_kind(cfg: ScenarioConfig, out: Path, workers: int, kind: _ReplicaKind):
     seeds = cfg.seeds
-    results = _run_replicas(partial(kind.replica, cfg), seeds, workers)
+    batches = _batches(seeds, _pool_size(workers, len(seeds)))
+    results = [
+        result
+        for batch in _run_replicas(partial(kind.replicas, cfg), batches, workers)
+        for result in batch
+    ]
 
     artifacts = []
     terminations = []

@@ -135,33 +135,28 @@ def growth_rate_from_record(record: TrajectoryRecord, vehicle: int = 0) -> Growt
     return fit_growth_rate(f[1:])
 
 
-def lane_imbalance(state) -> int:
-    """Absolute difference in vehicle counts between the two lanes."""
+def lane_imbalance(state):
+    """Absolute difference in vehicle counts between the two lanes, along the
+    last axis: an int for one fleet, an array for a stack of lane vectors."""
     lanes = np.asarray(state.lanes if hasattr(state, "lanes") else state)
-    return int(abs(np.count_nonzero(lanes == 0) - np.count_nonzero(lanes == 1)))
+    diff = np.abs(np.count_nonzero(lanes == 0, axis=-1) - np.count_nonzero(lanes == 1, axis=-1))
+    return int(diff) if np.ndim(diff) == 0 else diff
 
 
 def lane_imbalance_series(record: TrajectoryRecord) -> np.ndarray:
     """Lane imbalance at every recorded sample of a two-lane run."""
     if record.lanes is None:
         raise ParameterError("record does not carry lane assignments")
-    return np.abs(
-        np.count_nonzero(record.lanes == 0, axis=1) - np.count_nonzero(record.lanes == 1, axis=1)
-    )
+    return lane_imbalance(record.lanes)
 
 
-def lane_change_count_series(record: TrajectoryRecord, vehicle: int, times=None) -> np.ndarray:
-    """Cumulative lane changes of one vehicle at the given times."""
-    times = record.times if times is None else np.asarray(times, dtype=float)
+def lane_change_count_series(events, vehicle: int, times) -> np.ndarray:
+    """Cumulative lane changes of one vehicle at the given times, from a run's events."""
+    times = np.asarray(times, dtype=float)
     change_times = np.sort(
-        [e.time for e in record.events if e.kind == "lane_change" and e.vehicle == vehicle]
+        [e.time for e in events if e.kind == "lane_change" and e.vehicle == vehicle]
     )
     return np.searchsorted(change_times, times, side="right").astype(np.int64)
-
-
-def distance_series(record: TrajectoryRecord, vehicle: int) -> np.ndarray:
-    """Distance driven by one vehicle since the start of the run."""
-    return record.positions[:, vehicle] - record.positions[0, vehicle]
 
 
 def aggregate_monte_carlo(series_list) -> tuple[np.ndarray, np.ndarray]:

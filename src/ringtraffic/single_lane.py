@@ -69,19 +69,23 @@ class HistoryBuffer:
 
     Construction pre-fills the whole buffer with the initial positions, i.e.
     vehicles are treated as having held their initial configuration for all
-    earlier times.
+    earlier times.  A snapshot is ``(N,)``, or ``(R, N)`` for rows of replicas.
     """
 
     def __init__(self, initial_positions: np.ndarray, delay: float, dt: float):
         m = delay_steps(delay, dt)
         self.dt = float(dt)
         self.delay_steps = m
-        self._buf = np.tile(np.asarray(initial_positions, dtype=float), (m + 1, 1))
+        self._buf = np.repeat(np.asarray(initial_positions, dtype=float)[None], m + 1, axis=0)
         self._head = 0  # slot of the newest snapshot
 
     def push(self, positions: np.ndarray) -> None:
         self._head = (self._head + 1) % (self.delay_steps + 1)
         self._buf[self._head] = positions
+
+    def select(self, rows) -> None:
+        """Keep only the given rows of every snapshot."""
+        self._buf = self._buf[:, rows]
 
     def positions_at_delay(self) -> np.ndarray:
         """Snapshot recorded ``delay_steps`` pushes ago (the current one for zero delay)."""

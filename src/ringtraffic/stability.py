@@ -36,10 +36,16 @@ def scale_constant(n_vehicles: int, p: ModelParams) -> float:
 
 
 def closed_form_eigenvalues(n_vehicles: int, p: ModelParams) -> np.ndarray:
-    """The N-1 distinct eigenvalues ``c * (1 - exp(2*pi*i*k/N))``, k = 1..N-1."""
+    """The N-1 distinct eigenvalues ``c * (1 - exp(2*pi*i*k/N))``, k = 1..N-1.
+
+    For even N the half-ring mode k = N/2 is exactly real, ``2c``.
+    """
     c = scale_constant(n_vehicles, p)
     k = np.arange(1, n_vehicles)
-    return c * (1.0 - np.exp(2j * np.pi * k / n_vehicles))
+    eigs = c * (1.0 - np.exp(2j * np.pi * k / n_vehicles))
+    if n_vehicles % 2 == 0:
+        eigs[n_vehicles // 2 - 1] = 2.0 * c  # exp(i pi) rounds to -1 + 1.2e-16i
+    return eigs
 
 
 def build_jacobian_dense(n_vehicles: int, p: ModelParams) -> np.ndarray:

@@ -6,7 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringtraffic.cli import EXIT_CONFIG, EXIT_OK, config_hash, main, run_scenario
+from ringtraffic import LaneChangeParams, flow_series, lane_imbalance_series, run_two_lane
+from ringtraffic.cli import (
+    EXIT_COLLISION,
+    EXIT_CONFIG,
+    EXIT_OK,
+    _FlowWindow,
+    _meta_lines,
+    config_hash,
+    exit_status,
+    main,
+    run_scenario,
+)
+from ringtraffic.metrics import lane_change_count_series
+from ringtraffic.records import write_csv
 from ringtraffic.config import KINDS, load_config
 from ringtraffic.errors import ConfigurationError
 
@@ -269,12 +282,57 @@ def test_workers_bounded_by_replicas_and_cpus(monkeypatch, pool_sizes):
 def test_workers_do_not_change_artifacts(tmp_path):
     cfg = load_config(kind="load-balance", overrides=["t_end=10", "replicas=3"])
     seq = tmp_path / "seq"
-    par = tmp_path / "par"
     m1 = run_scenario(cfg, seq, workers=1)
-    m2 = run_scenario(cfg, par, workers=3)
-    assert m1.artifacts == m2.artifacts
-    for name in m1.artifacts:
-        assert (seq / name).read_bytes() == (par / name).read_bytes()
+    for workers in (2, 3):  # batches of 1 and 2 seeds, then of 1 each
+        par = tmp_path / f"par{workers}"
+        m2 = run_scenario(cfg, par, workers=workers)
+        assert m1.artifacts == m2.artifacts
+        for name in m1.artifacts:
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+
+def test_replica_tables_equal_whole_record_reductions_through_collisions(tmp_path):
+    """The per-sample tables of both replica kinds equal the reductions of
+    each seed's whole record, byte for byte, for collided rows too."""
+    lb = load_config(kind="load-balance", overrides=[
+        "delay=0.5", "t_end=60", "replicas=4", "base_seed=5", "record_stride=3", "delta_flow=2.0",
+    ])
+    agg = load_config(kind="aggressive", overrides=[
+        "delay=0.75", "t_end=20", "replicas=3", "base_seed=6", "record_stride=3", "stagger=20",
+        "aggressive_vehicle=0", "aggressive_lambda=3.0", "control_vehicle=25", "r=0.5", "p=1.0",
+    ])
+    x = lb.params.track_length / 2.0
+    for cfg, prefix in ((lb, "lb"), (agg, "agg")):
+        manifest = run_scenario(cfg, tmp_path / prefix)
+        assert exit_status(manifest) == EXIT_COLLISION
+        assert 0 < manifest.summary["replicas_completed"] < len(cfg.seeds)
+        for i, seed in enumerate(cfg.seeds):
+            lp = LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed)
+            run = dict(delay=cfg["delay"], dt=cfg["dt"], t_end=cfg["t_end"], record_stride=cfg["record_stride"])
+            if prefix == "lb":
+                record = run_two_lane(cfg.params, lp, n_lane0=50, **run)
+                flow_times = record.times[record.times >= cfg["delta_flow"]]
+                tables = {
+                    "replica": [record.times, lane_imbalance_series(record)],
+                    "flow": [flow_times, flow_series(record, x, flow_times, cfg["delta_flow"])],
+                }
+            else:
+                record = run_two_lane(
+                    cfg.params, lp, n_lane0=25, n_lane1=25, stagger=20.0,
+                    lambda_overrides={0: 3.0}, **run,
+                )
+                tables = {"replica": [
+                    record.times,
+                    *(lane_change_count_series(record.events, v, record.times) for v in (0, 25)),
+                    *(record.positions[:, v] - record.positions[0, v] for v in (0, 25)),
+                ]}
+            assert manifest.terminations[i]["reason"] == record.termination_reason
+            for name, values in tables.items():
+                got = (tmp_path / prefix / f"{prefix}_{name}_{i:02d}.csv").read_text()
+                expected = tmp_path / "expected.csv"
+                header = got.splitlines()[len(_meta_lines(cfg, {"seed": seed, "replica": i}))]
+                write_csv(expected, _meta_lines(cfg, {"seed": seed, "replica": i}), header.split(","), values)
+                assert got == expected.read_text()
 
 
 def test_manifest_records_the_processes_that_ran(tmp_path, monkeypatch, pool_sizes):
@@ -290,6 +348,29 @@ def test_manifest_records_the_processes_that_ran(tmp_path, monkeypatch, pool_siz
     assert pool_sizes == [3]
     assert manifest.workers == 3
     assert json.loads((tmp_path / "lb" / "manifest.json").read_text())["workers"] == 3
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_rolling_flow_window_equals_the_whole_record(stride):
+    # 601 steps: at strides 2 and 3 the final sample comes early.  Every
+    # evaluated block ends on a sample, where positions_at clamps.
+    cfg = load_config(kind="load-balance", overrides=[f"record_stride={stride}", "t_end=30.05"])
+    p = cfg.params
+    record = run_two_lane(
+        p, LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=3), n_lane0=50,
+        dt=cfg["dt"], t_end=cfg["t_end"], record_stride=stride,
+    )
+    x = p.track_length / 2.0
+    for delta in (5.0, 5.03, 4.99):
+        window = _FlowWindow(load_config(kind="load-balance", overrides=[
+            f"record_stride={stride}", "t_end=30.05", f"delta_flow={delta}",
+        ]), record.n_vehicles, x)
+        for t, positions, velocities in zip(record.times, record.positions, record.velocities):
+            window.add(t, positions, velocities)
+        times, flows = window.table()
+        due = record.times[record.times >= delta]
+        assert times.tobytes() == due.tobytes()
+        assert flows.tobytes() == flow_series(record, x, due, delta).tobytes()
 
 
 def test_manifest_lists_only_the_seeds_used(tmp_path):

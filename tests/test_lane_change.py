@@ -20,8 +20,9 @@ from ringtraffic import (
     two_lane_step,
 )
 from ringtraffic.errors import ParameterError
-from ringtraffic.lane_change import _count_passes, own_headways
+from ringtraffic.lane_change import _count_passes, _Samples, own_headways, run_lockstep
 from ringtraffic.metrics import lane_imbalance_series
+from ringtraffic.single_lane import ring_crossings
 
 
 def make_state(positions0, positions1, p, phis=None, lambdas=None):
@@ -191,6 +192,44 @@ def test_detect_passes_counts_long_steps_exactly():
     assert dropped.tolist() == [0, 0]
 
 
+def all_pairs_passes(prev_pos, new_pos, lanes, excluded, track_length):
+    """Every adjacent-lane pair of one run through the pass expression: the
+    reference that the windowed count must equal."""
+    counts = np.zeros(len(prev_pos), dtype=np.int64)
+    for lane in (0, 1):
+        receivers = np.flatnonzero((lanes == lane) & ~excluded)
+        passers = np.flatnonzero((lanes == 1 - lane) & ~excluded)
+        if receivers.size == 0 or passers.size == 0:
+            continue
+        crossed = ring_crossings(
+            new_pos[receivers][:, None] - new_pos[passers][None, :],
+            prev_pos[receivers][:, None] - prev_pos[passers][None, :],
+            track_length,
+        )
+        counts[receivers] = np.maximum(crossed, 0.0).sum(axis=1)
+    return counts
+
+
+def random_step(rng, n, reach, length):
+    """Start and end positions of one row, drawn to hit the pass count's edges."""
+    kind = rng.integers(4)
+    if kind == 0:  # a 25 m grid puts offsets exactly on multiples of the track length
+        prev = 25.0 * rng.integers(-12, 12, n)
+        new = prev + 25.0 * rng.integers(-math.ceil(reach / 25), math.ceil(reach / 25) + 1, n)
+        return prev, new
+    if kind == 1:  # duplicates whole laps apart share a wrapped position
+        prev = rng.uniform(0.0, length, n)
+        twin = rng.integers(0, n, n)
+        prev = np.where(rng.random(n) < 0.5, prev[twin] + length * rng.integers(-3, 4, n), prev)
+    elif kind == 2:  # pairs side by side or 1e-13 m apart
+        prev = rng.uniform(-300.0, 300.0, n)
+        twin = rng.integers(0, n, n)
+        prev = np.where(rng.random(n) < 0.5, prev[twin] + rng.choice([-1e-13, 0.0, 1e-13], n), prev)
+    else:
+        prev = rng.uniform(-300.0, 300.0, n)
+    return prev, prev + rng.uniform(-reach, reach, n)  # forward and backward moves
+
+
 def test_count_passes_matches_per_pair_reference():
     rng = np.random.default_rng(11)
     length = 100.0
@@ -215,6 +254,20 @@ def test_count_passes_matches_per_pair_reference():
         counts = _count_passes(prev, new, lanes, excluded, length)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, expected)
+    # Batches of rows, each against the all-pairs count, with moves up to a
+    # few metres, past half the ring and past a whole lap.
+    for reach in (2.0, 30.0, 75.0, 250.0):
+        for _ in range(300):
+            rows, n = int(rng.integers(1, 7)), int(rng.integers(2, 12))
+            steps = [random_step(rng, n, reach, length) for _ in range(rows)]
+            prev, new = map(np.array, zip(*steps))
+            lanes = rng.integers(0, 2, (rows, n)).astype(np.int8)
+            excluded = rng.random((rows, n)) < 0.1
+            counts = _count_passes(prev, new, lanes, excluded, length)
+            assert counts.dtype == np.int64
+            for r in range(rows):
+                expected = all_pairs_passes(prev[r], new[r], lanes[r], excluded[r], length)
+                np.testing.assert_array_equal(counts[r], expected)
 
 
 def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
@@ -230,6 +283,15 @@ def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
     np.testing.assert_allclose(lane0, single.positions[-1], atol=1e-12)
     lane1 = state.positions[state.lanes == 1]
     np.testing.assert_allclose(lane1, single.positions[-1] + 20.0, atol=1e-12)
+
+
+def test_two_lane_step_needs_one_generator_per_row(table1_params):
+    lp = LaneChangeParams(r=0.1, p=0.2)
+    one = init_two_lane(table1_params, 25, 25, stagger=20.0)
+    rows = TwoLaneState(*(np.stack([a, a]) for a in (one.positions, one.lanes, one.phis, one.lambdas)))
+    hist = HistoryBuffer(rows.positions, 0.0, 0.05)
+    with pytest.raises(ParameterError):
+        two_lane_step(rows, hist, lp, table1_params, 0.05, np.random.default_rng(1))
 
 
 def test_two_lane_step_applies_frustration_law(table1_params):
@@ -345,6 +407,34 @@ def test_seeded_runs_are_bit_reproducible(table1_params):
         n_lane0=50, dt=0.05, t_end=20.0,
     )
     assert not np.array_equal(a.lanes, different.lanes)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_lockstep_rows_equal_runs_one_at_a_time(table1_params, stride):
+    # Vehicle 0 at three times the rate crashes seeds 1 (4.75 s) and 7 (5.05 s).
+    lp = LaneChangeParams(r=0.5, p=1.0)
+    run = dict(
+        n_lane0=25, n_lane1=25, stagger=20.0, delay=0.75, dt=0.05, t_end=60.0,
+        lambda_overrides={0: 3.0}, record_stride=stride,
+    )
+    seeds = list(range(1, 9))
+    samples, ends = run_lockstep(table1_params, lp, seeds, sink=_Samples, **run)
+    reasons = {}
+    for r, (seed, end) in enumerate(zip(seeds, ends)):
+        alone = run_two_lane(table1_params, LaneChangeParams(r=0.5, p=1.0, rng_seed=seed), **run)
+        k = end.samples
+        np.testing.assert_array_equal(samples.times[r, :k], alone.times)
+        np.testing.assert_array_equal(samples.positions[r, :k], alone.positions)
+        np.testing.assert_array_equal(samples.velocities[r, :k], alone.velocities)
+        np.testing.assert_array_equal(samples.lanes[r, :k], alone.lanes)
+        np.testing.assert_array_equal(samples.phis[r, :k], alone.phis)
+        assert end.events == alone.events
+        assert end.collisions == alone.collisions
+        assert (end.reason, end.time) == (alone.termination_reason, alone.termination_time)
+        reasons[seed] = (end.reason, end.time)
+    assert reasons[1] == ("collision", 4.75)
+    assert reasons[7] == ("collision", 5.05)
+    assert all(reasons[s] == ("completed", 60.0) for s in (2, 3, 4, 5, 6, 8))
 
 
 def test_lane_change_params_validation():

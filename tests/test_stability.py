@@ -98,6 +98,22 @@ def test_eigenvalues_small_n(table1_params):
     )
 
 
+@pytest.mark.parametrize("n", [4, 50])
+def test_half_ring_mode_is_exactly_real(table1_params, n):
+    eigs = closed_form_eigenvalues(n, table1_params)
+    half = eigs[n // 2 - 1]  # k = N/2
+    assert half.imag == 0.0
+    assert half.real == 2.0 * scale_constant(n, table1_params)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.5, 5.0])
+def test_two_vehicle_ring_has_no_oscillation(table1_params, delay):
+    # N=2 has the half-ring mode alone: its rightmost root is real at every delay
+    (root,) = rightmost_roots(2, delay, table1_params)
+    assert root.imag == 0.0
+    assert root.real < 0.0
+
+
 def test_lambert_w_against_scipy():
     rng = np.random.default_rng(11)
     for branch in range(-8, 9):
