@@ -146,36 +146,15 @@ def _unsort(values, row, order):
     return out
 
 
-def own_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
-    """Headway of every vehicle to its in-lane leader on the given positions,
-    row by row.
+def perceived_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float):
+    """In-lane and other-lane headways of every vehicle on the given
+    positions, row by row, from one sort of each row.
 
-    A vehicle alone in its lane faces its own periodic image, headway L.
-    """
-    positions_ref, lanes, shape = _by_row(positions_ref, lanes)
-    rows, n = positions_ref.shape
-    wrapped = positions_ref % track_length
-    order = np.lexsort((wrapped, lanes), axis=-1)  # stable: lane, then position
-    row = np.arange(rows)[:, None]
-    x, lane = wrapped[row, order], lanes[row, order]
-    # Sorted lane 0 fills columns [0, n0) of a row and lane 1 fills [n0, n).
-    n1 = lane.sum(axis=1, keepdims=True)
-    n0 = n - n1
-    first = lane * n0
-    last = n0 - 1 + lane * n1
-    column = np.arange(n)
-    wraps = column == last  # the lane's leader is its first vehicle, a lap ahead
-    lead = x[row, np.where(wraps, first, column + 1)]
-    h = (lead + track_length * wraps) - x
-    h[first == last] = track_length
-    return _unsort(h, row, order).reshape(shape)
-
-
-def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
-    """Distance to the nearest strictly-ahead vehicle in the other lane, row by row.
-
-    Infinite when the other lane is empty; a vehicle exactly side-by-side is
-    not ahead, so the next one (or its image one lap ahead) counts.
+    The in-lane headway runs to the next vehicle of the same lane; a vehicle
+    alone in its lane faces its own periodic image, headway exactly L.  The
+    other-lane headway runs to the nearest strictly-ahead vehicle of the other
+    lane: a vehicle exactly side-by-side is not ahead, so the next one (or its
+    image one lap ahead) counts, and it is infinite when that lane is empty.
     """
     positions_ref, lanes, shape = _by_row(positions_ref, lanes)
     rows, n = positions_ref.shape
@@ -184,24 +163,40 @@ def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length
     row = np.arange(rows)[:, None]
     x = wrapped[row, order]
     lane = lanes[row, order]
-    lane = np.concatenate([lane, lane], axis=1)  # the sorted row, then its image a lap on
+    ring = np.concatenate([lane, lane], axis=1)  # the sorted row, then its image a lap on
     column = np.arange(1, 2 * n + 1)
     # switch[r, c]: the first column after c in the other lane than c's (2n if none).
     switch = np.full((rows, 2 * n), 2 * n)
-    switch[:, :-1] = np.where(lane[:, 1:] != lane[:, :-1], column[:-1], 2 * n)
+    switch[:, :-1] = np.where(ring[:, 1:] != ring[:, :-1], column[:-1], 2 * n)
     switch = np.minimum.accumulate(switch[:, ::-1], axis=1)[:, ::-1]
+    # The in-lane leader is the next column of the same lane, at the latest
+    # the vehicle's own image n columns on.
+    after = column[:n]
+    leader = np.where(ring[:, 1 : n + 1] == lane, after, switch[:, 1 : n + 1])
+    own = np.concatenate([x, x + track_length], axis=1)[row, leader] - x
+    own[leader == after + n - 1] = track_length
     # past[r, j]: the first column after j's run of equal positions.
-    past = column[:n]
+    past = after
     tied = x[:, 1:] == x[:, :-1]
     if tied.any():
         past = np.full((rows, n), n)
         past[:, :-1] = np.where(tied, n, column[: n - 1])
         past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
-    nearest = np.where(lane[row, past] != lane[:, :n], past, switch[row, past])
+    nearest = np.where(ring[row, past] != lane, past, switch[row, past])
     gap = (x[row, nearest % n] - x) % track_length
     gap[gap == 0.0] = track_length
     gap[nearest == 2 * n] = np.inf
-    return _unsort(gap, row, order).reshape(shape)
+    return _unsort(own, row, order).reshape(shape), _unsort(gap, row, order).reshape(shape)
+
+
+def own_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
+    """The in-lane half of :func:`perceived_headways`."""
+    return perceived_headways(positions_ref, lanes, track_length)[0]
+
+
+def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
+    """The other-lane half of :func:`perceived_headways`."""
+    return perceived_headways(positions_ref, lanes, track_length)[1]
 
 
 def attempt_probability(phi):
@@ -382,8 +377,7 @@ def two_lane_step(
         raise ParameterError(f"{len(positions)} rows need as many generators, got {len(rngs)}")
 
     def perceive(r):
-        own = own_headways(ref_pos[r], lanes[r], length)
-        adj = adjacent_headways(ref_pos[r], lanes[r], length)
+        own, adj = perceived_headways(ref_pos[r], lanes[r], length)
         phi = frustration_update(phis0[r], own, adj, pending[r], lp, dt)
         return own, phi, per_step_attempt_probability(phi, dt)
 

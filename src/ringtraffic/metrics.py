@@ -15,6 +15,9 @@ from .records import TrajectoryRecord
 from .single_lane import ring_crossings
 from .stability import rightmost_roots
 
+# Elements of the (times, positions, vehicles) block that flow_field counts at once.
+FLOW_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class FlowField:
@@ -54,27 +57,32 @@ def flow_field(record: TrajectoryRecord, times, positions, delta: float) -> Flow
 
     Each vehicle counts once per periodic image of a detector position that
     its unwrapped trajectory passes inside ``(t-delta, t]``, which stays exact
-    when it laps the ring several times inside the window.  One time row is
-    evaluated at a time, over all positions and vehicles.
+    when it laps the ring several times inside the window.  Blocks of time
+    rows are evaluated at once, as ``(times, positions, vehicles)`` arrays of
+    about ``FLOW_BLOCK`` elements.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    if times.ndim != 1 or positions.ndim != 1:
+        raise ShapeError(f"times {times.shape} and positions {positions.shape} must be 1-D")
     if not (math.isfinite(delta) and delta > 0):
         raise ParameterError(f"delta must be positive, got {delta!r}")
     length = record.params.track_length
     if not np.all((0 <= positions) & (positions < length)):
         raise RangeError(f"positions {positions} outside the track [0, {length})")
-    if np.any(times - delta < record.times[0]) or np.any(times > record.times[-1]):
+    if not np.all((record.times[0] <= times - delta) & (times <= record.times[-1])):
         raise RangeError(
             f"windows of {delta} s ending at {times} not covered by the record "
             f"[{record.times[0]}, {record.times[-1]}]"
         )
     x = positions[:, None]
     q = np.empty((times.size, positions.size))
-    for i, t in enumerate(times):
-        start = record.positions_at(t - delta) - x
-        end = record.positions_at(t) - x
-        q[i] = ring_crossings(start, end, length).sum(axis=1) / delta
+    rows = max(1, FLOW_BLOCK // max(1, positions.size * record.n_vehicles))
+    for i in range(0, times.size, rows):
+        t = times[i : i + rows]
+        start = record.positions_at(t - delta)[:, None] - x
+        end = record.positions_at(t)[:, None] - x
+        q[i : i + rows] = ring_crossings(start, end, length).sum(axis=-1) / delta
     return FlowField(times=times, positions=positions, q=q, delta=delta)
 
 

@@ -65,15 +65,17 @@ class TrajectoryRecord:
     def vehicle_velocity(self, vehicle: int) -> np.ndarray:
         return self.velocities[:, vehicle]
 
-    def positions_at(self, t: float) -> np.ndarray:
-        """Linearly interpolated unwrapped positions of all vehicles at ``t``."""
+    def positions_at(self, t) -> np.ndarray:
+        """Linearly interpolated unwrapped positions of all vehicles at ``t``:
+        ``(N,)`` for one time, one row per time for an array of times."""
         times = self.times
-        if t < times[0] or t > times[-1]:
+        t = np.asarray(t, dtype=float)
+        if not np.all((times[0] <= t) & (t <= times[-1])):  # NaN fails too
             raise RangeError(f"t={t!r} outside recorded range [{times[0]}, {times[-1]}]")
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 2)
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
         span = times[i + 1] - times[i]
-        w = 0.0 if span == 0 else (t - times[i]) / span
+        # times[i] <= t, so a zero span (divided as inf) gives w = 0.
+        w = ((t - times[i]) / np.where(span == 0, np.inf, span))[..., None]
         return (1.0 - w) * self.positions[i] + w * self.positions[i + 1]
 
     def metadata_lines(self, extra: dict | None = None) -> list[str]:

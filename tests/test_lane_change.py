@@ -20,7 +20,13 @@ from ringtraffic import (
     two_lane_step,
 )
 from ringtraffic.errors import ParameterError
-from ringtraffic.lane_change import _count_passes, _Samples, own_headways, run_lockstep
+from ringtraffic.lane_change import (
+    _count_passes,
+    _Samples,
+    own_headways,
+    perceived_headways,
+    run_lockstep,
+)
 from ringtraffic.metrics import lane_imbalance_series
 from ringtraffic.single_lane import ring_crossings
 
@@ -268,6 +274,117 @@ def test_count_passes_matches_per_pair_reference():
             for r in range(rows):
                 expected = all_pairs_passes(prev[r], new[r], lanes[r], excluded[r], length)
                 np.testing.assert_array_equal(counts[r], expected)
+
+
+def oracle_own_headways(positions_ref, lanes, track_length):
+    """In-lane headways from a lane-then-position sort of each row: the
+    reference that the one-sort kernel must equal."""
+    shape = positions_ref.shape
+    positions_ref, lanes = positions_ref.reshape(-1, shape[-1]), lanes.reshape(-1, shape[-1])
+    rows, n = positions_ref.shape
+    wrapped = positions_ref % track_length
+    order = np.lexsort((wrapped, lanes), axis=-1)  # stable: lane, then position
+    row = np.arange(rows)[:, None]
+    x, lane = wrapped[row, order], lanes[row, order]
+    # Sorted lane 0 fills columns [0, n0) of a row and lane 1 fills [n0, n).
+    n1 = lane.sum(axis=1, keepdims=True)
+    n0 = n - n1
+    first = lane * n0
+    last = n0 - 1 + lane * n1
+    column = np.arange(n)
+    wraps = column == last  # the lane's leader is its first vehicle, a lap ahead
+    lead = x[row, np.where(wraps, first, column + 1)]
+    h = (lead + track_length * wraps) - x
+    h[first == last] = track_length
+    out = np.empty_like(h)
+    out[row, order] = h
+    return out.reshape(shape)
+
+
+def oracle_adjacent_headways(positions_ref, lanes, track_length):
+    """Other-lane headways from a position sort of each row: the reference
+    that the one-sort kernel must equal."""
+    shape = positions_ref.shape
+    positions_ref, lanes = positions_ref.reshape(-1, shape[-1]), lanes.reshape(-1, shape[-1])
+    rows, n = positions_ref.shape
+    wrapped = positions_ref % track_length
+    order = np.argsort(wrapped, axis=1, kind="stable")
+    row = np.arange(rows)[:, None]
+    x = wrapped[row, order]
+    lane = lanes[row, order]
+    lane = np.concatenate([lane, lane], axis=1)  # the sorted row, then its image a lap on
+    column = np.arange(1, 2 * n + 1)
+    # switch[r, c]: the first column after c in the other lane than c's (2n if none).
+    switch = np.full((rows, 2 * n), 2 * n)
+    switch[:, :-1] = np.where(lane[:, 1:] != lane[:, :-1], column[:-1], 2 * n)
+    switch = np.minimum.accumulate(switch[:, ::-1], axis=1)[:, ::-1]
+    # past[r, j]: the first column after j's run of equal positions.
+    past = column[:n]
+    tied = x[:, 1:] == x[:, :-1]
+    if tied.any():
+        past = np.full((rows, n), n)
+        past[:, :-1] = np.where(tied, n, column[: n - 1])
+        past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
+    nearest = np.where(lane[row, past] != lane[:, :n], past, switch[row, past])
+    gap = (x[row, nearest % n] - x) % track_length
+    gap[gap == 0.0] = track_length
+    gap[nearest == 2 * n] = np.inf
+    out = np.empty_like(gap)
+    out[row, order] = gap
+    return out.reshape(shape)
+
+
+def random_fleet(rng, rows, n, length):
+    """Positions and lanes of a batch, drawn to hit the perception's edges."""
+    kind = rng.integers(4)
+    positions = rng.uniform(-3 * length, 3 * length, (rows, n))
+    if kind == 0:  # a 25 m grid puts vehicles exactly on top of each other
+        positions = 25.0 * rng.integers(-12, 12, (rows, n))
+    elif kind in (1, 2):
+        twin = positions[np.arange(rows)[:, None], rng.integers(0, n, (rows, n))]
+        if kind == 1:  # duplicates whole laps apart share a wrapped position
+            twin = twin + length * rng.integers(-3, 4, (rows, n))
+        else:  # side by side, or 1e-13 m apart
+            twin = twin + rng.choice([-1e-13, 0.0, 0.0, 1e-13], (rows, n))
+        positions = np.where(rng.random((rows, n)) < 0.5, twin, positions)
+    lanes = rng.integers(0, 2, (rows, n)).astype(np.int8)
+    pattern = rng.integers(3)
+    if pattern == 1:  # the other lane empty
+        lanes[:] = rng.integers(0, 2)
+    elif pattern == 2:  # one vehicle alone in its lane
+        lanes[:] = rng.integers(0, 2)
+        lanes[np.arange(rows), rng.integers(0, n, rows)] ^= 1
+    return positions, lanes
+
+
+def test_perceived_headways_match_the_two_sort_references():
+    rng = np.random.default_rng(8)
+    lone = empty = 0
+    for length in (100.0, 1000.0):
+        for _ in range(1500):
+            rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            positions, lanes = random_fleet(rng, rows, n, length)
+            own, adj = perceived_headways(positions, lanes, length)
+            expected_own = oracle_own_headways(positions, lanes, length)
+            expected_adj = oracle_adjacent_headways(positions, lanes, length)
+            assert own.tobytes() == expected_own.tobytes()
+            assert adj.tobytes() == expected_adj.tobytes()
+            assert own_headways(positions, lanes, length).tobytes() == own.tobytes()
+            assert adjacent_headways(positions, lanes, length).tobytes() == adj.tobytes()
+            in_lane1 = lanes.sum(axis=1)
+            lone += np.count_nonzero((in_lane1 == 1) | (in_lane1 == n - 1))
+            empty += np.count_nonzero((in_lane1 == 0) | (in_lane1 == n))
+            one_row = perceived_headways(positions[0], lanes[0], length)
+            assert one_row[0].tobytes() == own[0].tobytes()
+            assert one_row[1].tobytes() == adj[0].tobytes()
+    assert lone > 1000 and empty > 1000
+    # Alone in its lane, a vehicle gets exactly L even where (x + L) - x is not L.
+    x = np.array([[0.1 + 0.2, 500.0], [123.456, 987.654321]])
+    lanes = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    assert ((x + 1000.0) - x != 1000.0).any()
+    own, adj = perceived_headways(x, lanes, 1000.0)
+    np.testing.assert_array_equal(own, 1000.0)
+    np.testing.assert_array_equal(oracle_own_headways(x, lanes, 1000.0), 1000.0)
 
 
 def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):

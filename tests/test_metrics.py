@@ -11,6 +11,7 @@ from ringtraffic import (
     flow_series,
     growth_rate_from_record,
     lane_imbalance,
+    metrics,
     run_single_lane,
 )
 from ringtraffic.errors import (
@@ -20,6 +21,7 @@ from ringtraffic.errors import (
     ShapeError,
 )
 from ringtraffic.metrics import windowed_amplitudes
+from ringtraffic.single_lane import ring_crossings
 
 V_EQ_50 = 40.0 * (1.0 - np.exp(-0.3125))
 
@@ -100,6 +102,107 @@ def test_flow_field_grid(table1_params):
     assert np.all(ff.q >= 0)
     series = flow_series(record, 500.0, [20.0, 30.0], 10.0)
     np.testing.assert_allclose(series, ff.q[:, 1])
+
+
+def oracle_positions_at(record, t):
+    """Positions at one time, interpolated between the two samples around it:
+    the reference for ``TrajectoryRecord.positions_at``."""
+    times = record.times
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    i = min(max(i, 0), len(times) - 2)
+    span = times[i + 1] - times[i]
+    w = 0.0 if span == 0 else (t - times[i]) / span
+    return (1.0 - w) * record.positions[i] + w * record.positions[i + 1]
+
+
+def oracle_flow(record, times, positions, delta):
+    """Flow one time row at a time: the reference the blocked kernel must equal."""
+    length = record.params.track_length
+    x = np.asarray(positions, dtype=float)[:, None]
+    q = np.empty((len(times), x.shape[0]))
+    for i, t in enumerate(times):
+        start = oracle_positions_at(record, t - delta) - x
+        end = oracle_positions_at(record, t) - x
+        q[i] = ring_crossings(start, end, length).sum(axis=1) / delta
+    return q
+
+
+@pytest.fixture(scope="module")
+def flow_records(table1_params):
+    """Single-lane records at strides 1 and 5, and the 100 m two-vehicle ring."""
+    run = dict(perturbation=(0, 1.0))
+    return {
+        "stride 1": run_single_lane(table1_params, 50, 0.75, 0.05, 40.0, **run),
+        "stride 5": run_single_lane(table1_params, 50, 0.75, 0.05, 40.03, record_stride=5, **run),
+        "100 m ring": run_single_lane(ModelParams(track_length=100.0), 2, 0.0, 0.05, 60.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["stride 1", "stride 5", "100 m ring"])
+@pytest.mark.parametrize("delta", [5.0, 5.03, 4.99])
+def test_flow_field_equals_the_per_row_reference(flow_records, name, delta, monkeypatch):
+    record = flow_records[name]
+    length = record.params.track_length
+    t_first, t_last = record.times[0] + delta, record.times[-1]
+    # A grid of sample times and times between them, ending on the last sample.
+    times = np.concatenate([np.linspace(t_first, t_last, 97), record.times[record.times >= t_first]])
+    assert times[-1] == t_last
+    positions = np.array([0.0, 1e-9, 0.37 * length, length / 2, length - 1e-9])
+    expected = oracle_flow(record, times, positions, delta)
+    assert flow_field(record, times, positions, delta).q.tobytes() == expected.tobytes()
+    # Blocks of one, two and seven rows.
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(metrics, "FLOW_BLOCK", rows * positions.size * record.n_vehicles)
+        assert flow_field(record, times, positions, delta).q.tobytes() == expected.tobytes()
+    column = flow_series(record, positions[3], times, delta)
+    assert column.tobytes() == expected[:, 3].copy().tobytes()
+    assert flow_rate(record, t_last, positions[2], delta) == expected[-1, 2]
+
+
+def test_flow_field_over_a_grid_of_many_blocks(flow_records):
+    record = flow_records["stride 1"]
+    times = np.linspace(5.0, record.times[-1], 301)
+    positions = np.linspace(0.0, 999.0, 50)
+    assert times.size * positions.size * record.n_vehicles > 10 * metrics.FLOW_BLOCK
+    expected = oracle_flow(record, times, positions, 5.0)
+    assert flow_field(record, times, positions, 5.0).q.tobytes() == expected.tobytes()
+
+
+def test_positions_at_an_array_of_times_stacks_the_scalar_calls(flow_records):
+    rng = np.random.default_rng(3)
+    for record in flow_records.values():
+        times = np.concatenate(
+            [record.times, rng.uniform(record.times[0], record.times[-1], 200)]
+        )
+        rows = record.positions_at(times)
+        assert rows.shape == (times.size, record.n_vehicles)
+        scalar = np.stack([record.positions_at(t) for t in times])
+        reference = np.stack([oracle_positions_at(record, t) for t in times])
+        assert rows.tobytes() == scalar.tobytes() == reference.tobytes()
+        assert record.positions_at(float(times[5])).shape == (record.n_vehicles,)
+
+
+def test_positions_at_rejects_times_outside_the_record(flow_records):
+    record = flow_records["stride 1"]
+    for t in (np.nan, -0.01, record.times[-1] + 0.01, [1.0, np.nan], [np.inf]):
+        with pytest.raises(RangeError):
+            record.positions_at(t)
+
+
+def test_flow_field_rejects_non_finite_and_mis_shaped_grids(flow_records):
+    record = flow_records["stride 1"]
+    with pytest.raises(RangeError):
+        flow_field(record, [np.nan], [100.0], 1.0)
+    with pytest.raises(RangeError):
+        flow_field(record, [10.0, np.inf], [100.0], 1.0)
+    with pytest.raises(RangeError):
+        flow_rate(record, np.nan, 100.0, 1.0)
+    with pytest.raises(ShapeError):
+        flow_field(record, [[10.0, 20.0]], [100.0], 1.0)
+    with pytest.raises(ShapeError):
+        flow_field(record, [10.0, 20.0], [[100.0]], 1.0)
+    with pytest.raises(ShapeError):
+        flow_field(record, 10.0, [100.0], 1.0)
 
 
 def local_minima(v):
