@@ -110,7 +110,205 @@ class TrajectoryRecord:
 # Rows formatted per block; bounds the memory of the text built at once.
 CHUNK_ROWS = 1 << 14
 
-_SPEC = {"i": "%d", "u": "%d", "f": "%.12g", "U": "%s"}
+# Below this many values, formatting them one by one with ``%`` is cheaper.
+SMALL_FIELD = 200
+
+# Each column is formatted into fixed-width byte fields with this byte in
+# every unused place; the holes are dropped when a block is written.  0xFF
+# never occurs in UTF-8 text.
+HOLE = 0xFF
+
+_ONES = 0x0101010101010101  # a one in every byte of a word
+
+
+def _holes(k):
+    """A word whose first ``k`` bytes in little-endian memory order are holes."""
+    return (1 << 8 * k) - 1
+
+
+# Indexed by a float's p, the number of its twelve significant digits that
+# follow the point (0..16): 10**p, the factor that widens those p digits to
+# 15, and the holes before its integer digits in the high and low integer
+# word (the integer digits end the low word).
+_P = range(17)
+_SCALE = np.array([float(10**p) for p in _P])
+_FRAC_SCALE = np.array([float(10 ** max(15 - p, 0)) for p in _P])
+_INT_DIGITS = [max(12 - p, 1) for p in _P]
+_INT_HOLES = np.array(
+    [[_holes(min(16 - d, 8)) for d in _INT_DIGITS], [_holes(max(8 - d, 0)) for d in _INT_DIGITS]],
+    dtype=np.uint64,
+)
+
+
+def _digits8(x):
+    """ASCII digits of each ``x < 10**8`` (uint64), zero-padded to eight: one
+    word per value, most significant digit first in little-endian memory order."""
+    hi = x // 10000
+    v = x - hi * 10000
+    v <<= 32
+    v |= hi  # two lanes of four digits
+    q = v * 10486
+    q >>= 20
+    q &= 0x0000007F0000007F  # each lane // 100
+    v -= q * 100
+    v <<= 16
+    v |= q  # four lanes of two digits
+    q = v * 103
+    q >>= 10
+    q &= 0x000F000F000F000F  # each lane // 10
+    v -= q * 10
+    v <<= 8
+    v |= q
+    v += 0x30 * _ONES
+    return v
+
+
+def _nonzero_digits(chars):
+    """0x80 in every byte of ``chars`` that holds a digit other than '0'."""
+    flags = chars + 0x4F * _ONES
+    flags &= 0x80 * _ONES
+    return flags
+
+
+def _text_field(texts, width=0):
+    """``(len(texts), W)`` bytes of the encoded ``texts``, padded with holes."""
+    width = max(width, max(map(len, texts), default=0))
+    data = b"".join(t.ljust(width, b"\xff") for t in texts)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _percent_field(spec, values, width=0):
+    """Bytes of ``spec % v`` for each value, one by one."""
+    return _text_field([spec % v for v in values.tolist()], width)
+
+
+def _field(words, n_int, frac_width, neg, fast, spec, values):
+    """``(n, W)`` bytes from ``(n_words, n)`` digit words that hold the integer
+    digits right-aligned in the first word (the first two when ``n_int >= 8``)
+    and then ``frac_width`` bytes of point and fraction.  A minus sign takes
+    the hole before the widest integer part; the values outside ``fast`` are
+    patched in as ``spec % v``."""
+    end = 8 if n_int < 8 else 16
+    start = end - n_int
+    if (neg & fast).any():
+        start -= 1
+        words[start // 8] ^= neg.astype(np.uint64) * ((HOLE ^ ord("-")) << 8 * (start % 8))
+    field = np.ascontiguousarray(words.astype("<u8", copy=False).T).view(np.uint8)
+    field = field[:, start : end + frac_width]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        patch = _percent_field(spec, values[slow], field.shape[1])
+        if patch.shape[1] > field.shape[1]:
+            field = np.pad(field, ((0, 0), (0, patch.shape[1] - field.shape[1])), constant_values=HOLE)
+        field[slow] = patch
+    return field
+
+
+def _float_field(values):
+    """Bytes of ``'%.12g' % v`` for each float.
+
+    With ``e = floor(log10|v|)`` and ``p = 11 - e``, the twelve digits are
+    ``m = rint(|v| 10**p)``, and ``p`` of them follow the point.  The product
+    is within about 1.2e-4 of exact at the ``1e12`` scale, so the values with
+    ``1e-4 <= |v| < 1e11`` are done here unless the scaled fraction lies
+    within 1e-3 of one half or ``m`` has not twelve digits.  Those, zeros,
+    non-finite values and exponent notation go through ``%`` one by one.
+    """
+    f = values.astype(float, copy=False)
+    if f.size < SMALL_FIELD:
+        return _percent_field(b"%.12g", f)
+    a = np.abs(f)
+    fast = (a >= 1e-4) & (a < 1e11)
+    np.copyto(a, 1.0, where=~fast)
+    e = np.log10(a)
+    np.floor(e, out=e)
+    p = (11.0 - e).astype(np.intp)  # 0..16
+    scale = _SCALE[p]
+    a *= scale
+    m = np.rint(a)
+    a -= m
+    np.abs(a, out=a)
+    fast &= (a < 0.499) & (m >= 1e11) & (m < 1e12)
+    if not fast.any():
+        return _percent_field(b"%.12g", f)
+    p_fast = p[fast]
+    n_int = max(11 - int(p_fast.min()), 0) + 1  # widest integer part, up to 12 digits
+    two_frac = bool(p_fast.max() > 7)  # fraction digits beyond the first word
+
+    whole = m / scale
+    np.floor(whole, out=whole)
+    frac = m - whole * scale
+    frac *= _FRAC_SCALE[p]  # the fraction as 15 digits
+    lo = int(n_int >= 8)  # the word of the units digit
+    parts = np.empty((lo + 2 + two_frac, len(f)))
+    if lo:
+        parts[0] = np.floor(whole / 1e8)
+        whole -= parts[0] * 1e8
+    parts[lo] = whole
+    # A '0' leads the first fraction word; it becomes the point.
+    np.floor(frac / 1e8, out=parts[lo + 1])
+    if two_frac:
+        parts[lo + 2] = frac - parts[lo + 1] * 1e8
+    words = _digits8(parts.astype(np.uint64))
+
+    # Leading zeros of the integer part are holes; its units digit stays.
+    words[: lo + 1] |= _INT_HOLES[1 - lo :, p]
+    # Trailing zeros of the fraction are holes, and so is the point of a
+    # value without one.
+    frac_words = words[lo + 1 :]
+    frac_words[0] ^= ord("0") ^ ord(".")
+    flags = _nonzero_digits(frac_words)
+    for shift in (8, 16, 32):
+        flags |= flags >> shift
+    if two_frac:
+        flags[0] |= (flags[1] & 0x80) * _ONES
+    kept = int.from_bytes(np.bitwise_or.reduce(flags, axis=1).astype("<u8").tobytes(), "little")
+    flags >>= 7
+    flags ^= _ONES
+    flags *= 0xFF
+    frac_words |= flags
+    return _field(words, n_int, (kept.bit_length() + 7) // 8, np.signbit(f), fast, b"%.12g", f)
+
+
+def _int_field(values):
+    """Bytes of ``'%d' % v`` for each integer."""
+    if values.size < SMALL_FIELD:
+        return _percent_field(b"%d", values)
+    if values.dtype.kind == "u":
+        mag = values.astype(np.uint64)
+        neg = np.zeros(mag.shape, dtype=bool)
+    else:
+        signed = values.astype(np.int64)
+        neg = signed < 0
+        mag = np.abs(signed).view(np.uint64)
+    fast = mag < 10**15
+    mag = np.where(fast, mag, 0)
+    n_int = len(str(int(mag.max(initial=0))))
+    parts = [mag]
+    if n_int >= 8:
+        parts = [mag // 10**8]
+        parts.append(mag - parts[0] * 10**8)
+    words = _digits8(np.stack(parts))
+    # Leading zeros are holes; the units digit stays.
+    flags = _nonzero_digits(words)
+    for shift in (8, 16, 32):
+        flags |= flags << shift
+    if n_int >= 8:
+        flags[1] |= (flags[0] >> 63) * (0x80 * _ONES)
+    flags[-1] |= 0x80 << 56
+    flags >>= 7
+    flags ^= _ONES
+    flags *= 0xFF
+    words |= flags
+    return _field(words, n_int, 0, neg, fast, b"%d", values)
+
+
+def _str_field(values):
+    """Bytes of each string, verbatim."""
+    return _text_field([v.encode("utf-8") for v in values.tolist()])
+
+
+_FIELDS = {"i": _int_field, "u": _int_field, "f": _float_field, "U": _str_field}
 
 
 def write_csv(path, metadata_lines, columns, values) -> None:
@@ -120,18 +318,32 @@ def write_csv(path, metadata_lines, columns, values) -> None:
     Integer columns print with ``%d``, float columns with ``%.12g`` and string
     columns verbatim.  Rows are formatted in blocks of about ``CHUNK_ROWS``
     along the leading axis, so broadcast inputs are never expanded whole.
+    Each column is formatted at its own shape within the block, into
+    fixed-width byte fields whose holes are dropped when a block is written.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(v) for v in values))
-    row = ",".join(_SPEC[a.dtype.kind] for a in arrays) + "\n"
-    shape = arrays[0].shape
-    step = max(1, CHUNK_ROWS // math.prod(shape[1:]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in metadata_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
+    arrays = [np.asarray(v) for v in values]
+    fields = [_FIELDS[a.dtype.kind] for a in arrays]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
+    step = max(1, CHUNK_ROWS // max(1, math.prod(shape[1:])))
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in [*metadata_lines, ",".join(columns)]).encode("utf-8"))
         for start in range(0, shape[0], step):
-            block = [a[start : start + step].ravel().tolist() for a in arrays]
-            fh.write("".join(map(row.__mod__, zip(*block))))
+            blocks = []
+            for a, field in zip(arrays, fields):
+                part = a if a.shape[0] == 1 else a[start : start + step]
+                chars = field(part.ravel())
+                blocks.append(chars.reshape(part.shape + chars.shape[-1:]))
+            rows = min(step, shape[0] - start)
+            buf = np.empty((rows, *shape[1:], sum(b.shape[-1] + 1 for b in blocks)), dtype=np.uint8)
+            at = 0
+            for chars in blocks:
+                width = chars.shape[-1]
+                buf[..., at : at + width] = chars
+                buf[..., at + width] = ord(",")
+                at += width + 1
+            buf[..., -1] = ord("\n")
+            fh.write(buf[buf != HOLE])
 
 
 _EVENT_FIELDS = ("time", "vehicle", "kind", "from_lane", "to_lane", "phi_before")

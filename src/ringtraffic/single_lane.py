@@ -2,8 +2,11 @@
 
 Positions are stored unwrapped; vehicle ``j + 1`` leads vehicle ``j`` and the
 first vehicle leads the last one across the periodic wrap.  The reaction delay
-is handled exactly by a ring buffer of past position snapshots, which requires
-the delay to be an integer multiple of the time step.
+must be an integer multiple ``m`` of the time step.  The single-lane run uses
+the method of steps for delay equations: the velocities of the next ``m``
+steps depend only on headways that are already known, so each iteration
+advances one reaction delay at once.  The two-lane step keeps a ring buffer
+of past position snapshots (``HistoryBuffer``).
 """
 from __future__ import annotations
 
@@ -36,10 +39,11 @@ class RingState:
 
 
 def ring_headways(positions: np.ndarray, track_length: float) -> np.ndarray:
-    """Headway of each vehicle to its leader; the last wraps to the first."""
+    """Headway of each vehicle to its leader along the last axis; the last
+    vehicle wraps to the first.  ``positions`` is ``(N,)`` or ``(..., N)``."""
     h = np.empty_like(positions)
-    h[:-1] = positions[1:] - positions[:-1]
-    h[-1] = positions[0] + track_length - positions[-1]
+    h[..., :-1] = positions[..., 1:] - positions[..., :-1]
+    h[..., -1] = positions[..., 0] + track_length - positions[..., -1]
     return h
 
 
@@ -142,16 +146,34 @@ def find_collisions(headways: np.ndarray, time: float, p: ModelParams) -> list[C
     ]
 
 
-def advance(positions: np.ndarray, hist: HistoryBuffer, lambda_rates, p: ModelParams):
-    """One explicit Euler step of ``hist.dt`` under the delayed velocity law.
+def advance(positions: np.ndarray, delayed_headways: np.ndarray, lambda_rates, dt: float, p: ModelParams):
+    """Explicit Euler steps of ``dt`` under the delayed velocity law, one per
+    row of the ``(B, N)`` headways that the drivers perceive at those steps.
 
-    Returns the velocities, set by the headways one reaction delay ago, and
-    the advanced positions, which are pushed onto the history.
+    Returns the ``(B, N)`` velocities and the ``(B + 1, N)`` positions that
+    start at ``positions``.  ``np.cumsum`` adds the rows in sequence, so row
+    ``b + 1`` is exactly ``x_b + dt * v_b``, as ``B`` single steps give it.
     """
-    v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lambda_rates, p)
-    new_positions = positions + hist.dt * v
-    hist.push(new_positions)
-    return v, new_positions
+    v = _velocity(delayed_headways, lambda_rates, p)
+    return v, np.concatenate((positions[None], dt * v)).cumsum(axis=0)
+
+
+def _lambda_rates(lambda_rates, n_vehicles: int, p: ModelParams):
+    """The rate of every vehicle: ``p.lambda_rate``, a scalar, or ``(N,)`` finite
+    positive rates."""
+    if lambda_rates is None:
+        return p.lambda_rate
+    try:
+        lam = np.asarray(lambda_rates, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"lambda_rates must be numeric, got {lambda_rates!r}") from None
+    if lam.shape not in ((), (n_vehicles,)):
+        raise ParameterError(
+            f"lambda_rates must be a scalar or of shape ({n_vehicles},), got shape {lam.shape}"
+        )
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ParameterError(f"lambda_rates must be finite and positive, got {lambda_rates!r}")
+    return lam
 
 
 def run_single_lane(
@@ -170,11 +192,19 @@ def run_single_lane(
     vehicle, and integrates until ``t_end`` or the first collision, whichever
     comes first.  Per-step positions and velocities are recorded every
     ``record_stride`` steps (the colliding and final states are always kept).
+
+    With ``m`` delay steps, each iteration advances ``B = max(m, 1)`` steps
+    through one ``advance`` call: the headways those steps perceive belong to
+    rows at least ``m`` steps back, already computed.  Only a rolling window
+    of ``2 B + 1`` headway rows is kept.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
+    if isinstance(record_stride, (bool, np.bool_)) or not isinstance(record_stride, (int, np.integer)):
+        raise ConfigurationError(f"record_stride must be an integer, got {record_stride!r}")
     if record_stride < 1:
         raise ConfigurationError(f"record_stride must be >= 1, got {record_stride!r}")
+    m = delay_steps(delay, dt)
     steps = int(round(t_end / dt))
     if steps < 1:
         raise ConfigurationError("t_end shorter than one step")
@@ -185,11 +215,14 @@ def run_single_lane(
         vehicle, displacement = perturbation
         if displacement != 0.0:
             state = perturb(state, vehicle, displacement, p.track_length)
-    hist = HistoryBuffer(state.positions, delay, dt)
-    lam = p.lambda_rate if lambda_rates is None else np.asarray(lambda_rates, dtype=float)
+    lam = _lambda_rates(lambda_rates, n_vehicles, p)
 
+    block = max(m, 1)
+    # Row i holds the headways of step s0 - block + i, for the block of steps
+    # starting at s0; before t = 0 the vehicles held their initial spacing.
+    hist = np.empty((2 * block + 1, n_vehicles))
+    hist[: block + 1] = ring_headways(state.positions, p.track_length)
     positions = state.positions
-    t = 0.0
     # Every stride-th step plus the final or colliding one.
     size = steps // record_stride + 2
     times = np.empty(size)
@@ -198,23 +231,36 @@ def run_single_lane(
     k = 0
     reason = TERMINATED_COMPLETED
     termination_time = t_end
+    collisions = []
 
-    for s in range(steps + 1):
-        collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
-        # A collision or the final sample discards this step's move.
-        v, next_positions = advance(positions, hist, lam, p)
-        last = s == steps
-        if collisions or last or s % record_stride == 0:
-            times[k], pos_samples[k], vel_samples[k] = t, positions, v
-            k += 1
-        if collisions:
-            reason = TERMINATED_COLLISION
-            termination_time = t
+    for s0 in range(0, steps + 1, block):
+        b = min(block, steps + 1 - s0)
+        v, x = advance(positions, hist[block - m : block - m + b], lam, dt, p)
+        hist[block + 1 : block + 1 + b] = ring_headways(x[1:], p.track_length)
+        closed = hist[block : block + b] <= p.car_size
+        crashed = closed.any()
+        if crashed:
+            # A collision discards the moves from its step on.
+            b = int(closed.any(axis=1).argmax()) + 1
+        first = -s0 % record_stride
+        rows = range(first, b, record_stride)
+        n = len(rows)
+        times[k : k + n] = [round((s0 + i) * dt, 12) for i in rows]
+        pos_samples[k : k + n] = x[first:b:record_stride]
+        vel_samples[k : k + n] = v[first:b:record_stride]
+        k += n
+        last = s0 + b - 1
+        if crashed or last == steps:
+            if last % record_stride:
+                times[k], pos_samples[k], vel_samples[k] = round(last * dt, 12), x[b - 1], v[b - 1]
+                k += 1
+            if crashed:
+                reason = TERMINATED_COLLISION
+                termination_time = round(last * dt, 12)
+                collisions = find_collisions(hist[block + b - 1], termination_time, p)
             break
-        if last:
-            break
-        positions = next_positions
-        t = round((s + 1) * dt, 12)
+        positions = x[b]
+        hist[: block + 1] = hist[block:]
 
     return TrajectoryRecord(
         times=times[:k],

@@ -38,6 +38,12 @@ def test_writer_matches_per_value_reference(tmp_path):
     assert path.read_text() == reference_csv(["# a=1", "# b=x"], ["i", "f", "s", "k"], rows)
 
 
+def test_vectorised_writer_matches_per_value_reference(tmp_path, monkeypatch):
+    """The same table with the numpy formatting forced on every column."""
+    monkeypatch.setattr(records, "SMALL_FIELD", 0)
+    test_writer_matches_per_value_reference(tmp_path)
+
+
 def test_writer_broadcasts_blocks_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(records, "CHUNK_ROWS", 64)
     rng = np.random.default_rng(0)
@@ -71,3 +77,65 @@ def test_events_csv_matches_reference(tmp_path):
     assert path.read_text() == reference_csv(["# seed=1"], columns, rows)
     write_events_csv(path, [])
     assert path.read_text() == ",".join(columns) + "\n"
+
+
+def check_floats(tmp_path, values):
+    """The writer and ``%.12g`` agree on every value, and on its negation."""
+    values = np.concatenate([values, -values])
+    path = tmp_path / "floats.csv"
+    write_csv(path, [], ["x"], [values])
+    assert path.read_text() == reference_csv([], ["x"], ((v,) for v in values.tolist()))
+
+
+def test_writer_matches_percent_at_rounding_ties(tmp_path):
+    """Values at (m + 1/2) 10**(e - 11), where twelve digits round half way,
+    and their neighbouring doubles, for every exponent of fixed notation."""
+    rng = np.random.default_rng(11)
+    m = rng.integers(10**11, 10**12 - 1, size=(17, 200)).astype(float)
+    ties = (m + 0.5) * 10.0 ** (np.arange(-5, 12)[:, None] - 11)
+    ties = ties.ravel()
+    check_floats(tmp_path, np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+
+
+def test_writer_matches_percent_at_powers_of_ten(tmp_path, monkeypatch):
+    monkeypatch.setattr(records, "SMALL_FIELD", 0)
+    edges = np.array([9.99999999999e-5, 1e-4, 99999999999.95, 1e11, 999999999999.5])
+    powers = 10.0 ** np.arange(-6, 14)
+    near = np.concatenate([edges, powers, powers * (1 - 5e-13), powers * (1 + 5e-13)])
+    steps = [near]
+    for _ in range(3):
+        steps += [np.nextafter(steps[-1], 0), np.nextafter(steps[-1], np.inf)]
+    check_floats(tmp_path, np.concatenate(steps))
+
+
+def test_writer_matches_percent_on_random_floats(tmp_path, monkeypatch):
+    monkeypatch.setattr(records, "CHUNK_ROWS", 1000)
+    rng = np.random.default_rng(12)
+    n = 6000
+    scattered = rng.random(n) * 10.0 ** rng.integers(-7, 15, n)
+    short = np.round(rng.random(n) * 10.0 ** rng.integers(0, 6, n), rng.integers(0, 5))
+    check_floats(tmp_path, np.concatenate([scattered, short, rng.integers(-10**6, 10**6, n) / 8.0]))
+
+
+def test_writer_matches_percent_on_integer_columns(tmp_path, monkeypatch):
+    monkeypatch.setattr(records, "CHUNK_ROWS", 500)
+    monkeypatch.setattr(records, "SMALL_FIELD", 0)
+    rng = np.random.default_rng(13)
+    n = 2000
+    wide = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, endpoint=True)
+    wide[:6] = [0, -1, 10**15 - 1, 10**15, -(10**15), np.iinfo(np.int64).min]
+    medium = rng.integers(-(10**9), 10**9, n)
+    small = rng.integers(-128, 128, n).astype(np.int8)
+    unsigned = np.array([0, 7, 10**8, 2**64 - 1] * (n // 4), dtype=np.uint64)
+    path = tmp_path / "ints.csv"
+    write_csv(path, [], ["w", "m", "s", "u"], [wide, medium, small, unsigned])
+    rows = zip(wide.tolist(), medium.tolist(), small.tolist(), unsigned.tolist())
+    assert path.read_text() == reference_csv([], ["w", "m", "s", "u"], rows)
+
+
+def test_writer_keeps_every_character_of_strings(tmp_path):
+    words = np.array(["", "pass", "\x00nul", "tab\there", "ünïcode", "lane_change"])
+    path = tmp_path / "s.csv"
+    write_csv(path, [], ["w", "n"], [words, np.arange(len(words))])
+    expected = reference_csv([], ["w", "n"], zip(words.tolist(), range(len(words))))
+    assert path.read_bytes() == expected.encode("utf-8")

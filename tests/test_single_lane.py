@@ -6,6 +6,7 @@ import pytest
 from ringtraffic import (
     HistoryBuffer,
     ModelParams,
+    TrajectoryRecord,
     advance,
     find_collisions,
     init_ring_equilibrium,
@@ -13,10 +14,68 @@ from ringtraffic import (
     run_single_lane,
     velocity_from_headway,
 )
+from ringtraffic.core import _velocity
 from ringtraffic.errors import ConfigurationError, ParameterError
 from ringtraffic.single_lane import ring_headways
 
 V_EQ_50 = 40.0 * (1.0 - math.exp(-0.3125))
+
+
+def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stride=1, lambda_rates=None):
+    """The single-lane run one Euler step at a time, from a ring buffer of
+    past positions: the oracle of the block kernel."""
+    steps = int(round(t_end / dt))
+    state = init_ring_equilibrium(n_vehicles, p)
+    if perturbation is not None and perturbation[1] != 0.0:
+        state = perturb(state, *perturbation, p.track_length)
+    hist = HistoryBuffer(state.positions, delay, dt)
+    lam = p.lambda_rate if lambda_rates is None else np.asarray(lambda_rates, dtype=float)
+    positions, t = state.positions, 0.0
+    times, xs, vs = [], [], []
+    reason, termination_time, collisions = "completed", steps * dt, []
+    for s in range(steps + 1):
+        collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
+        v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lam, p)
+        next_positions = positions + hist.dt * v
+        hist.push(next_positions)
+        if collisions or s == steps or s % record_stride == 0:
+            times.append(t)
+            xs.append(positions)
+            vs.append(v)
+        if collisions:
+            reason, termination_time = "collision", t
+            break
+        if s == steps:
+            break
+        positions = next_positions
+        t = round((s + 1) * dt, 12)
+    return TrajectoryRecord(
+        times=np.array(times), positions=np.array(xs), velocities=np.array(vs), params=p,
+        delay=delay, dt=dt, termination_reason=reason, termination_time=termination_time,
+        collisions=collisions,
+    )
+
+
+def assert_same_run(record, oracle):
+    for name in ("times", "positions", "velocities"):
+        assert getattr(record, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert record.termination_reason == oracle.termination_reason
+    assert record.termination_time == oracle.termination_time
+    assert record.collisions == oracle.collisions
+
+
+def kernel_steps(initial, m, blocks, dt, p):
+    """Positions after each of ``blocks * max(m, 1)`` steps of the block kernel
+    with a delay of ``m`` steps, the vehicles at rest at ``initial`` before t = 0."""
+    b = max(m, 1)
+    hist = np.repeat(ring_headways(initial, p.track_length)[None], m + 1, axis=0)  # steps -m..0
+    positions, out = initial, []
+    for _ in range(blocks):
+        _, x = advance(positions, hist[:b], p.lambda_rate, dt, p)
+        hist = np.concatenate((hist, ring_headways(x[1:], p.track_length)))[-(m + 1) :]
+        positions = x[-1]
+        out.append(x[1:])
+    return np.concatenate(out)
 
 
 def test_equilibrium_positions(table1_params):
@@ -70,78 +129,75 @@ def test_history_requires_integer_delay_multiple(table1_params):
 
 def test_delayed_headway_zero_delay_is_current(table1_params):
     state = init_ring_equilibrium(50, table1_params)
-    hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    v, _ = advance(state.positions, hist, table1_params.lambda_rate, table1_params)
+    h = ring_headways(state.positions, table1_params.track_length)[None]
+    v, _ = advance(state.positions, h, table1_params.lambda_rate, 0.01, table1_params)
     np.testing.assert_allclose(v, velocity_from_headway(20.0, table1_params), rtol=0, atol=1e-12)
 
 
 def test_delayed_headway_uniform_motion_preserves_spacing(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    hist = HistoryBuffer(state.positions, delay=0.1, dt=0.01)
-    positions = state.positions
-    for _ in range(25):
-        v, positions = advance(positions, hist, table1_params.lambda_rate, table1_params)
-    h = ring_headways(hist.positions_at_delay(), table1_params.track_length)
-    for j in (0, 17, 49):
-        assert h[j] == pytest.approx(20.0)
-        assert v[j] == pytest.approx(V_EQ_50)
+    record = run_single_lane(table1_params, 50, 0.1, 0.01, 0.25)
+    h = ring_headways(record.positions, table1_params.track_length)
+    np.testing.assert_allclose(h, 20.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(record.velocities, V_EQ_50, rtol=0, atol=1e-12)
 
 
 def test_delayed_headway_holds_initial_snapshot():
     """First steps of a small perturbed ring, checked against hand arithmetic."""
     p = ModelParams(track_length=100.0)
     dt, delay = 0.1, 0.2
-    positions = np.array([1.0, 25.0, 50.0, 75.0])  # vehicle 0 displaced +1
-    hist = HistoryBuffer(positions, delay, dt)
-    x0 = positions.copy()
+    x0 = np.array([1.0, 25.0, 50.0, 75.0])  # vehicle 0 displaced +1
+    record = run_single_lane(p, 4, delay, dt, 0.4, perturbation=(0, 1.0))
+    np.testing.assert_array_equal(record.positions[0], x0)
 
-    # While t <= delay the perceived headways stay at the held initial values.
-    expected_h0 = np.array([24.0, 25.0, 25.0, 26.0])
-    v0 = velocity_from_headway(expected_h0, p)
-    for _ in range(2):
-        np.testing.assert_allclose(
-            ring_headways(hist.positions_at_delay(), p.track_length),
-            expected_h0,
-            rtol=0,
-            atol=1e-12,
-        )
-        v, positions = advance(positions, hist, p.lambda_rate, p)
-        np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
-    # At t = delay the lookup still lands on the initial snapshot (t - delay = 0);
-    # one more step later it returns x(dt) = x(0) + dt * v(h(initial)).
-    np.testing.assert_allclose(hist.positions_at_delay(), x0, atol=1e-12)
-    v, positions = advance(positions, hist, p.lambda_rate, p)
-    np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(hist.positions_at_delay(), x0 + dt * v0, atol=1e-12)
+    # Through t = delay the perceived headways stay at the held initial
+    # values (t - delay <= 0); one step later they are those of
+    # x(dt) = x(0) + dt * v(h(initial)).
+    v0 = velocity_from_headway(np.array([24.0, 25.0, 25.0, 26.0]), p)
+    for s in range(3):
+        np.testing.assert_allclose(record.velocities[s], v0, rtol=0, atol=1e-12)
+    v3 = velocity_from_headway(ring_headways(x0 + dt * v0, p.track_length), p)
+    np.testing.assert_allclose(record.velocities[3], v3, rtol=0, atol=1e-12)
 
 
 def test_euler_step_advances_equilibrium_uniformly(table1_params):
     state = init_ring_equilibrium(50, table1_params)
-    hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
-    _, stepped = advance(state.positions, hist, table1_params.lambda_rate, table1_params)
+    h = ring_headways(state.positions, table1_params.track_length)[None]
+    _, x = advance(state.positions, h, table1_params.lambda_rate, 0.01, table1_params)
+    np.testing.assert_array_equal(x[0], state.positions)
+    stepped = x[1]
     np.testing.assert_allclose(stepped - state.positions, 0.01 * V_EQ_50, rtol=0, atol=1e-12)
-    h = ring_headways(stepped, table1_params.track_length)
-    np.testing.assert_allclose(h, 20.0, atol=1e-12)
-    # the step pushed the advanced positions onto the history
-    np.testing.assert_array_equal(hist.positions_at_delay(), stepped)
+    np.testing.assert_allclose(ring_headways(stepped, table1_params.track_length), 20.0, atol=1e-12)
 
 
 def test_euler_step_zero_velocity_below_minimal_headway():
     p = ModelParams(track_length=100.0)
     positions = np.array([0.0, 7.0, 50.0])  # follower 0 sees 7 m < d_min
-    hist = HistoryBuffer(positions, delay=0.0, dt=0.01)
-    v, stepped = advance(positions, hist, p.lambda_rate, p)
-    assert v[0] == 0.0
-    assert stepped[0] == 0.0
-    assert stepped[1] > 7.0
+    v, x = advance(positions, ring_headways(positions, p.track_length)[None], p.lambda_rate, 0.01, p)
+    assert v[0, 0] == 0.0
+    assert x[1, 0] == 0.0
+    assert x[1, 1] > 7.0
+
+
+def test_advance_steps_each_row_in_sequence(table1_params):
+    state = init_ring_equilibrium(50, table1_params)
+    rng = np.random.default_rng(3)
+    headways = 20.0 + rng.normal(scale=2.0, size=(6, 50))
+    v, x = advance(state.positions, headways, table1_params.lambda_rate, 0.05, table1_params)
+    assert v.shape == (6, 50) and x.shape == (7, 50)
+    positions = state.positions
+    for b in range(6):
+        step_v = _velocity(headways[b], table1_params.lambda_rate, table1_params)
+        assert step_v.tobytes() == v[b].tobytes()
+        positions = positions + 0.05 * step_v
+        assert positions.tobytes() == x[b + 1].tobytes()
 
 
 def test_advance_uses_per_vehicle_rates(table1_params):
     state = init_ring_equilibrium(50, table1_params)
-    hist = HistoryBuffer(state.positions, delay=0.0, dt=0.01)
+    h = ring_headways(state.positions, table1_params.track_length)[None]
     rates = np.full(50, table1_params.lambda_rate)
     rates[3] = 2.0
-    v, _ = advance(state.positions, hist, rates, table1_params)
+    (v,), _ = advance(state.positions, h, rates, 0.01, table1_params)
     fast = ModelParams(lambda_rate=2.0)
     assert v[3] == pytest.approx(velocity_from_headway(20.0, fast))
     np.testing.assert_allclose(np.delete(v, 3), V_EQ_50, rtol=0, atol=1e-12)
@@ -186,17 +242,8 @@ def test_translation_invariance(table1_params):
     base = perturb(base, 0, 1.0, table1_params.track_length)
     shift = 123.0
 
-    def trajectory(initial):
-        positions = initial.copy()
-        hist = HistoryBuffer(positions, delay=0.5, dt=0.05)
-        out = []
-        for _ in range(400):
-            _, positions = advance(positions, hist, table1_params.lambda_rate, table1_params)
-            out.append(positions)
-        return np.stack(out)
-
-    plain = trajectory(base.positions)
-    moved = trajectory(base.positions + shift)
+    plain = kernel_steps(base.positions, 10, 40, 0.05, table1_params)  # delay 0.5 s
+    moved = kernel_steps(base.positions + shift, 10, 40, 0.05, table1_params)
     assert np.max(np.abs(moved - (plain + shift))) < 1e-7
 
 
@@ -249,3 +296,59 @@ def test_trajectory_csv_round_trippable(tmp_path, table1_params, csv_columns):
     assert set(data) == {"t", "vehicle", "x_unwrapped", "v"}
     assert len(data["t"]) == len(record.times) * 5
     assert data["x_unwrapped"][0] == record.positions[0, 0]
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05])
+@pytest.mark.parametrize("delay_steps", [0, 1, "0.5", "0.75", "1.5"])
+@pytest.mark.parametrize("stride", [1, 3, 7])
+def test_block_kernel_matches_per_step_oracle(table1_params, dt, delay_steps, stride):
+    delay = float(delay_steps) if isinstance(delay_steps, str) else delay_steps * dt
+    args = (table1_params, 50, delay, dt, 12.37)  # t_end is no multiple of the block
+    kwargs = dict(perturbation=(4, 1.0), record_stride=stride)
+    assert_same_run(run_single_lane(*args, **kwargs), per_step_run(*args, **kwargs))
+
+
+def test_block_kernel_matches_oracle_with_per_vehicle_rates(table1_params):
+    rates = np.linspace(0.7, 1.4, 40)
+    for delay, stride in ((0.0, 1), (0.05, 3), (0.75, 1), (1.5, 7)):
+        args = (table1_params, 40, delay, 0.05, 30.0)
+        kwargs = dict(perturbation=(1, 1.0), record_stride=stride, lambda_rates=rates)
+        assert_same_run(run_single_lane(*args, **kwargs), per_step_run(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "n, delay, displacement, stride, row",
+    [
+        (50, 0.75, 16.0, 1, 0),  # collides at t = 0
+        (30, 1.5, 8.0, 1, 0),  # first row of a block
+        (30, 1.5, 1.0, 3, 29),  # last row of a block
+        (50, 1.0, 1.0, 7, 19),  # last row of a block
+        (50, 1.5, 8.0, 3, 15),  # a middle row
+    ],
+)
+def test_block_kernel_matches_oracle_at_collisions(table1_params, n, delay, displacement, stride, row):
+    dt = 0.05
+    args = (table1_params, n, delay, dt, 100.0)
+    kwargs = dict(perturbation=(0, displacement), record_stride=stride)
+    record = run_single_lane(*args, **kwargs)
+    assert record.termination_reason == "collision"
+    assert round(record.termination_time / dt) % round(delay / dt) == row
+    assert_same_run(record, per_step_run(*args, **kwargs))
+
+
+@pytest.mark.parametrize("rates", [np.full(50, np.nan), np.ones(7), np.zeros(50), -1.0, np.inf, "fast"])
+def test_run_rejects_bad_lambda_rates(table1_params, rates):
+    with pytest.raises(ParameterError):
+        run_single_lane(table1_params, 50, 0.5, 0.05, 5.0, lambda_rates=rates)
+
+
+@pytest.mark.parametrize("stride", [2.5, True, 0, -3, "2"])
+def test_run_rejects_bad_record_stride(table1_params, stride):
+    with pytest.raises(ConfigurationError):
+        run_single_lane(table1_params, 50, 0.5, 0.05, 5.0, record_stride=stride)
+
+
+def test_run_accepts_numpy_stride_and_scalar_rate(table1_params):
+    record = run_single_lane(table1_params, 10, 0.5, 0.05, 5.0, record_stride=np.int64(4), lambda_rates=1.0)
+    base = run_single_lane(table1_params, 10, 0.5, 0.05, 5.0, record_stride=4)
+    assert_same_run(record, base)
