@@ -28,7 +28,7 @@ from .records import (
     LaneEvent,
     TrajectoryRecord,
 )
-from .single_lane import HistoryBuffer, find_collisions, ring_crossings
+from .single_lane import HistoryBuffer, closed, find_collisions, ring_crossings
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -430,9 +430,9 @@ def two_lane_step(
     velocities = _velocity(own, lambdas, p)
     # Without a delay the perceived positions are the true ones.
     true_h = own if hist.delay_steps == 0 else own_headways(positions, lanes, length)
-    closed = true_h <= p.car_size
-    hit = closed.any()
-    crashed = closed.any(axis=1) if hit else None
+    collided = closed(true_h, p)
+    hit = collided.any()
+    crashed = collided.any(axis=1) if hit else None
     collisions: list[list[CollisionReport]] = [[] for _ in rngs]
     for r in np.nonzero(crashed)[0] if hit else ():
         collisions[r] = find_collisions(true_h[r], state.time, p)

@@ -270,42 +270,14 @@ def _float_field(values):
     return _field(words, n_int, (kept.bit_length() + 7) // 8, np.signbit(f), fast, b"%.12g", f)
 
 
-def _int_field(values):
-    """Bytes of ``'%d' % v`` for each integer."""
-    if values.size < SMALL_FIELD:
-        return _percent_field(b"%d", values)
-    if values.dtype.kind == "u":
-        mag = values.astype(np.uint64)
-        neg = np.zeros(mag.shape, dtype=bool)
-    else:
-        signed = values.astype(np.int64)
-        neg = signed < 0
-        mag = np.abs(signed).view(np.uint64)
-    fast = mag < 10**15
-    mag = np.where(fast, mag, 0)
-    n_int = len(str(int(mag.max(initial=0))))
-    parts = [mag]
-    if n_int >= 8:
-        parts = [mag // 10**8]
-        parts.append(mag - parts[0] * 10**8)
-    words = _digits8(np.stack(parts))
-    # Leading zeros are holes; the units digit stays.
-    flags = _nonzero_digits(words)
-    for shift in (8, 16, 32):
-        flags |= flags << shift
-    if n_int >= 8:
-        flags[1] |= (flags[0] >> 63) * (0x80 * _ONES)
-    flags[-1] |= 0x80 << 56
-    flags >>= 7
-    flags ^= _ONES
-    flags *= 0xFF
-    words |= flags
-    return _field(words, n_int, 0, neg, fast, b"%d", values)
-
-
 def _str_field(values):
     """Bytes of each string, verbatim."""
     return _text_field([v.encode("utf-8") for v in values.tolist()])
+
+
+def _int_field(values):
+    """Bytes of ``'%d' % v`` for each integer."""
+    return _percent_field(b"%d", values)
 
 
 _FIELDS = {"i": _int_field, "u": _int_field, "f": _float_field, "U": _str_field}

@@ -138,11 +138,17 @@ def perturb(
     return RingState(positions=positions, time=state.time)
 
 
+def closed(headways: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The collision rule on ``(..., N)`` true headways: a follower has collided
+    when its headway is at most one vehicle length (inclusive)."""
+    return headways <= p.car_size
+
+
 def find_collisions(headways: np.ndarray, time: float, p: ModelParams) -> list[CollisionReport]:
-    """Followers whose true headway is at most one vehicle length (inclusive)."""
+    """Followers whose true headway closed under the collision rule."""
     return [
         CollisionReport(time=time, follower_index=int(j), headway_at_collision=float(headways[j]))
-        for j in np.flatnonzero(headways <= p.car_size)
+        for j in np.flatnonzero(closed(headways, p))
     ]
 
 
@@ -237,11 +243,11 @@ def run_single_lane(
         b = min(block, steps + 1 - s0)
         v, x = advance(positions, hist[block - m : block - m + b], lam, dt, p)
         hist[block + 1 : block + 1 + b] = ring_headways(x[1:], p.track_length)
-        closed = hist[block : block + b] <= p.car_size
-        crashed = closed.any()
+        hit = closed(hist[block : block + b], p)
+        crashed = hit.any()
         if crashed:
             # A collision discards the moves from its step on.
-            b = int(closed.any(axis=1).argmax()) + 1
+            b = int(hit.any(axis=1).argmax()) + 1
         first = -s0 % record_stride
         rows = range(first, b, record_stride)
         n = len(rows)

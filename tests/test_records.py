@@ -119,7 +119,6 @@ def test_writer_matches_percent_on_random_floats(tmp_path, monkeypatch):
 
 def test_writer_matches_percent_on_integer_columns(tmp_path, monkeypatch):
     monkeypatch.setattr(records, "CHUNK_ROWS", 500)
-    monkeypatch.setattr(records, "SMALL_FIELD", 0)
     rng = np.random.default_rng(13)
     n = 2000
     wide = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, endpoint=True)

@@ -16,7 +16,7 @@ from ringtraffic import (
 )
 from ringtraffic.core import _velocity
 from ringtraffic.errors import ConfigurationError, ParameterError
-from ringtraffic.single_lane import ring_headways
+from ringtraffic.single_lane import closed, ring_headways
 
 V_EQ_50 = 40.0 * (1.0 - math.exp(-0.3125))
 
@@ -215,6 +215,13 @@ def test_collision_detection_boundary(table1_params):
     assert touching[0].headway_at_collision == pytest.approx(5.0)
     assert touching[0].time == 3.0
     assert reports([0.0, 5.01]) == []
+    # The rule applies row by row to a block of headways.
+    size = table1_params.car_size
+    block = np.array([[size + 1.0, size, 40.0], [np.nextafter(size, 0.0), 30.0, np.nextafter(size, 9.0)]])
+    np.testing.assert_array_equal(closed(block, table1_params), [[False, True, False], [True, False, False]])
+    for row in block:
+        hits = [report.follower_index for report in find_collisions(row, 0.0, table1_params)]
+        assert hits == np.flatnonzero(closed(row, table1_params)).tolist()
 
 
 def test_single_lane_run_stops_at_first_collision(table1_params):
