@@ -15,7 +15,7 @@ import os
 import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import KINDS, ScenarioConfig, load_config
+from .config import KIND_DEFAULTS, KINDS, ScenarioConfig, load_config
 from .core import fundamental_diagram_curve, fundamental_diagram_summary
 from .errors import (
     ConfigurationError,
@@ -69,19 +69,7 @@ class RunManifest:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "tool": "ringtraffic",
-            "version": self.version,
-            "kind": self.kind,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "artifacts": self.artifacts,
-            "terminations": self.terminations,
-            "summary": self.summary,
-            "wall_clock_s": self.wall_clock_s,
-            "workers": self.workers,
-        }
+        return {"tool": "ringtraffic", **asdict(self)}
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.json"
@@ -596,9 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config key (dotted paths reach params.*)",
         )
         k.add_argument("--out", required=True, help="output directory")
-        k.add_argument("--seed", type=int, default=None, help="base seed override")
-        k.add_argument("--replicas", type=int, default=None, help="replica count override")
-        k.add_argument("--workers", type=int, default=1, help="parallel replica workers")
+        # Only the kinds that read a flag's key offer the flag.
+        if "base_seed" in KIND_DEFAULTS[kind]:
+            k.add_argument("--seed", type=int, default=None, help="base seed override")
+        if "replicas" in KIND_DEFAULTS[kind]:
+            k.add_argument("--replicas", type=int, default=None, help="replica count override")
+            k.add_argument("--workers", type=int, default=1, help="parallel replica workers")
         k.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -606,13 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"base_seed={args.seed}")
-    if args.replicas is not None:
-        overrides.append(f"replicas={args.replicas}")
+    for flag, key in (("seed", "base_seed"), ("replicas", "replicas")):
+        if getattr(args, flag, None) is not None:
+            overrides.append(f"{key}={getattr(args, flag)}")
     try:
         cfg = load_config(kind=args.kind, path=args.config, overrides=overrides)
-        manifest = run_scenario(cfg, args.out, workers=max(1, args.workers))
+        manifest = run_scenario(cfg, args.out, workers=max(1, getattr(args, "workers", 1)))
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,20 +35,15 @@ _PARAMS_DEFAULTS = {
     "track_length": 1000.0,
 }
 
-_COMMON = {
-    "params": _PARAMS_DEFAULTS,
-    "base_seed": 12345,
-    "replicas": 1,
-    "record_stride": 1,
-}
-
+# Every kind holds exactly the keys its runner reads.
 KIND_DEFAULTS: dict[str, dict] = {
     "fundamental-diagram": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
         "rho_resolution_per_km": 0.1,
     },
     "single-lane": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
+        "record_stride": 1,
         "n_vehicles": 50,
         "delay": 0.0,
         "dt": 0.01,
@@ -60,17 +55,19 @@ KIND_DEFAULTS: dict[str, dict] = {
         "flow_grid_nx": 50,
     },
     "stability": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
         "n_vehicles": 50,
         "delay_grid": [round(0.05 * k, 10) for k in range(17)],
     },
     "tau-curve": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
         "n_list": [10, 25, 50, 75, 100, 133],
     },
     "load-balance": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
+        "base_seed": 12345,
         "replicas": 10,
+        "record_stride": 1,
         "n_vehicles": 50,
         "delay": 0.0,
         "dt": 0.05,
@@ -80,8 +77,10 @@ KIND_DEFAULTS: dict[str, dict] = {
         "delta_flow": 5.0,
     },
     "aggressive": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
+        "base_seed": 12345,
         "replicas": 20,
+        "record_stride": 1,
         "n_vehicles": 50,
         "delay": 0.0,
         "dt": 0.05,
@@ -94,7 +93,9 @@ KIND_DEFAULTS: dict[str, dict] = {
         "control_vehicle": None,
     },
     "custom": {
-        **_COMMON,
+        "params": _PARAMS_DEFAULTS,
+        "base_seed": 12345,
+        "record_stride": 1,
         "lanes": 1,
         "n_vehicles": 50,
         "n_lane0": None,
@@ -107,11 +108,10 @@ KIND_DEFAULTS: dict[str, dict] = {
         "perturb_displacement": 0.0,
         "r": 0.1,
         "p": 0.1,
-        "delta_flow": 5.0,
     },
 }
 
-# Keys whose default is None and their expected scalar type once set.
+# Keys that take null (their derived default), with their scalar type once set.
 _NULLABLE_TYPES = {
     "stagger": float,
     "aggressive_vehicle": int,
@@ -119,8 +119,6 @@ _NULLABLE_TYPES = {
     "n_lane0": int,
     "n_lane1": int,
 }
-
-_SIMULATING_KINDS = {"single-lane", "load-balance", "aggressive", "custom"}
 
 
 @dataclass(frozen=True)
@@ -133,57 +131,47 @@ class ScenarioConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
     @property
     def params(self) -> ModelParams:
         return ModelParams(**self.values["params"])
 
     @property
     def seeds(self) -> list[int]:
-        base = self.values.get("base_seed", 0)
-        return [base + i for i in range(self.values.get("replicas", 1))]
+        """The seeds of a replica kind's runs."""
+        base = self.values["base_seed"]
+        return [base + i for i in range(self.values["replicas"])]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **copy.deepcopy(self.values)}
 
 
 def _coerce(key: str, value, default):
-    """Coerce a merged value to the default's type; reject mismatches."""
-    if default is None or value is None:
-        expected = _NULLABLE_TYPES.get(key)
-        if value is None or expected is None:
-            return value
-        default = expected()
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"key '{key}' expects a boolean, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    """Coerce a merged value to the default's type; reject mismatches.  Only
+    the nullable keys take ``None``."""
+    if key in _NULLABLE_TYPES:
+        if value is None:
+            return None
+        default = _NULLABLE_TYPES[key]()
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"key '{key}' expects an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigurationError(f"key '{key}' expects an integer, got {value!r}")
-            value = int(value)
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"key '{key}' expects an integer, got {value!r}")
         return int(value)
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"key '{key}' expects a number, got {value!r}")
         return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigurationError(f"key '{key}' expects a string, got {value!r}")
-        return value
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigurationError(f"key '{key}' expects a list, got {value!r}")
-        return [_coerce(f"{key}[]", item, default[0] if default else 0.0) for item in value]
+        return [_coerce(f"{key}[]", item, default[0]) for item in value]
     raise ConfigurationError(f"key '{key}' has unsupported type")
 
 
-def _merge(resolved: dict, incoming: dict, source: str) -> None:
+def _merge(resolved: dict, incoming: dict, source: str, defaults: dict) -> None:
+    """Merge ``incoming`` into ``resolved``, coercing each value against its
+    kind's default."""
     for key, value in incoming.items():
         if key == "kind":
             continue
@@ -197,17 +185,9 @@ def _merge(resolved: dict, incoming: dict, source: str) -> None:
                     f"params.{pkey}", pvalue, _PARAMS_DEFAULTS[pkey]
                 )
             continue
-        if key not in resolved:
+        if key not in defaults:
             raise ConfigurationError(f"{source}: unknown key '{key}'")
-        resolved[key] = _coerce(key, value, KIND_DEFAULTS_FLAT[key])
-
-
-# Flattened view of every known key across kinds, for coercion defaults.
-KIND_DEFAULTS_FLAT: dict = {}
-for _kind_defaults in KIND_DEFAULTS.values():
-    for _key, _value in _kind_defaults.items():
-        if _key != "params":
-            KIND_DEFAULTS_FLAT.setdefault(_key, _value)
+        resolved[key] = _coerce(key, value, defaults[key])
 
 
 def _parse_set_override(item: str) -> tuple[str, object]:
@@ -290,60 +270,46 @@ def load_config(
     if kind not in KINDS:
         raise ConfigurationError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
-    resolved = copy.deepcopy(KIND_DEFAULTS[kind])
-    _merge(resolved, file_data, f"config file {path!r}" if path else "config file")
+    defaults = KIND_DEFAULTS[kind]
+    resolved = copy.deepcopy(defaults)
+    _merge(resolved, file_data, f"config file {path!r}" if path else "config file", defaults)
     if inline:
-        _merge(resolved, inline, "inline config")
+        _merge(resolved, inline, "inline config", defaults)
     env_data = _env_overrides(resolved, environ if environ is not None else os.environ)
     if env_data:
-        _merge(resolved, env_data, "environment")
+        _merge(resolved, env_data, "environment", defaults)
     if overrides:
-        _merge(resolved, _nest_dotted(_parse_set_override(o) for o in overrides), "--set")
+        _merge(
+            resolved, _nest_dotted(_parse_set_override(o) for o in overrides), "--set", defaults
+        )
 
     _validate(kind, resolved)
     return ScenarioConfig(kind=kind, values=resolved)
 
 
 def _validate(kind: str, v: dict) -> None:
+    """Check every key the kind holds; a key means the same in every kind."""
     ModelParams(**v["params"])  # raises ParameterError on bad physics
-    if v["replicas"] < 1:
-        raise ConfigurationError(f"replicas must be >= 1, got {v['replicas']}")
-    if v["record_stride"] < 1:
-        raise ConfigurationError(f"record_stride must be >= 1, got {v['record_stride']}")
-    if kind in _SIMULATING_KINDS:
-        if v["dt"] <= 0:
-            raise ConfigurationError(f"dt must be positive, got {v['dt']}")
-        if v["t_end"] <= 0:
-            raise ConfigurationError(f"t_end must be positive, got {v['t_end']}")
+    for key in ("replicas", "record_stride"):
+        if key in v and v[key] < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {v[key]}")
+    for key in ("dt", "t_end", "delta_flow", "rho_resolution_per_km", "aggressive_lambda"):
+        if key in v and v[key] <= 0:
+            raise ConfigurationError(f"{key} must be positive, got {v[key]}")
+    if "delay" in v:
         delay_steps(v["delay"], v["dt"])  # integer-multiple invariant
-    if kind in ("single-lane", "custom"):
-        n = v["n_vehicles"]
-        if not 0 <= v["perturb_vehicle"] < n:
-            raise ConfigurationError(
-                f"perturb_vehicle {v['perturb_vehicle']} out of range 0..{n - 1}"
-            )
-    if kind == "single-lane":
-        if v["delta_flow"] <= 0:
-            raise ConfigurationError("delta_flow must be positive")
-    if kind == "stability":
-        if any(d < 0 for d in v["delay_grid"]):
-            raise ConfigurationError("delay_grid entries must be nonnegative")
-    if kind == "tau-curve":
-        if any(n < 2 for n in v["n_list"]):
-            raise ConfigurationError("n_list entries must be >= 2")
-    if kind == "fundamental-diagram":
-        if v["rho_resolution_per_km"] <= 0:
-            raise ConfigurationError("rho_resolution_per_km must be positive")
-    if kind in ("load-balance", "aggressive", "custom"):
-        if kind != "custom" or v["lanes"] == 2:
-            if v["r"] < 0 or v["p"] < 0:
-                raise ConfigurationError("lane-change rates r and p must be nonnegative")
-    if kind == "aggressive":
-        if v["n_vehicles"] % 2 != 0:
-            raise ConfigurationError("aggressive experiment splits n_vehicles evenly per lane")
-        if v["aggressive_lambda"] <= 0:
-            raise ConfigurationError("aggressive_lambda must be positive")
-    if kind == "custom":
+    if "r" in v and (v["r"] < 0 or v["p"] < 0):
+        raise ConfigurationError("lane-change rates r and p must be nonnegative")
+    for key in ("perturb_vehicle", "aggressive_vehicle", "control_vehicle"):
+        if v.get(key) is not None and not 0 <= v[key] < v["n_vehicles"]:
+            raise ConfigurationError(f"{key} {v[key]} out of range 0..{v['n_vehicles'] - 1}")
+    if any(d < 0 for d in v.get("delay_grid", ())):
+        raise ConfigurationError("delay_grid entries must be nonnegative")
+    if any(n < 2 for n in v.get("n_list", ())):
+        raise ConfigurationError("n_list entries must be >= 2")
+    if kind == "aggressive" and v["n_vehicles"] % 2 != 0:
+        raise ConfigurationError("aggressive experiment splits n_vehicles evenly per lane")
+    if "lanes" in v:
         if v["lanes"] not in (1, 2):
             raise ConfigurationError(f"lanes must be 1 or 2, got {v['lanes']}")
         if v["lanes"] == 2:

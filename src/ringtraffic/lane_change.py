@@ -28,7 +28,7 @@ from .records import (
     LaneEvent,
     TrajectoryRecord,
 )
-from .single_lane import HistoryBuffer, closed, find_collisions, ring_crossings
+from .single_lane import HistoryBuffer, closed, find_collisions, ring_crossings, run_grid
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -527,13 +527,7 @@ def run_lockstep(
 
     Returns the sink and one :class:`RunEnd` per seed.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
-    if record_stride < 1:
-        raise ConfigurationError(f"record_stride must be >= 1, got {record_stride!r}")
-    steps = int(round(t_end / dt))
-    if steps < 1:
-        raise ConfigurationError("t_end shorter than one step")
+    _, steps, size = run_grid(delay, dt, t_end, record_stride)
     base = init_two_lane(p, n_lane0, n_lane1, stagger=stagger, lambda_overrides=lambda_overrides)
     count = len(seeds)
     state = TwoLaneState(
@@ -544,7 +538,7 @@ def run_lockstep(
     )
     hist = HistoryBuffer(state.positions, delay, dt)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    consumer = sink(count, math.ceil(steps / record_stride) + 1, base.n_vehicles)
+    consumer = sink(count, size, base.n_vehicles)
     live = np.arange(count)
     events: list[list[LaneEvent]] = [[] for _ in seeds]
     ends: list[RunEnd] = [None] * count

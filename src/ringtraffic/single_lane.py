@@ -68,6 +68,23 @@ def delay_steps(delay: float, dt: float) -> int:
     return int(m)
 
 
+def run_grid(delay: float, dt: float, t_end: float, record_stride) -> tuple[int, int, int]:
+    """The delay steps, the step count and the most samples of a run to
+    ``t_end`` that records every ``record_stride``-th step plus its final or
+    colliding state; errors on a grid that cannot be run."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
+    if isinstance(record_stride, (bool, np.bool_)) or not isinstance(record_stride, (int, np.integer)):
+        raise ConfigurationError(f"record_stride must be an integer, got {record_stride!r}")
+    if record_stride < 1:
+        raise ConfigurationError(f"record_stride must be >= 1, got {record_stride!r}")
+    m = delay_steps(delay, dt)
+    steps = int(round(t_end / dt))
+    if steps < 1:
+        raise ConfigurationError("t_end shorter than one step")
+    return m, steps, -(-steps // record_stride) + 1
+
+
 class HistoryBuffer:
     """Ring of past position snapshots covering exactly the reaction delay.
 
@@ -204,16 +221,7 @@ def run_single_lane(
     rows at least ``m`` steps back, already computed.  Only a rolling window
     of ``2 B + 1`` headway rows is kept.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigurationError(f"t_end must be positive, got {t_end!r}")
-    if isinstance(record_stride, (bool, np.bool_)) or not isinstance(record_stride, (int, np.integer)):
-        raise ConfigurationError(f"record_stride must be an integer, got {record_stride!r}")
-    if record_stride < 1:
-        raise ConfigurationError(f"record_stride must be >= 1, got {record_stride!r}")
-    m = delay_steps(delay, dt)
-    steps = int(round(t_end / dt))
-    if steps < 1:
-        raise ConfigurationError("t_end shorter than one step")
+    m, steps, size = run_grid(delay, dt, t_end, record_stride)
     t_end = steps * dt
 
     state = init_ring_equilibrium(n_vehicles, p)
@@ -229,8 +237,6 @@ def run_single_lane(
     hist = np.empty((2 * block + 1, n_vehicles))
     hist[: block + 1] = ring_headways(state.positions, p.track_length)
     positions = state.positions
-    # Every stride-th step plus the final or colliding one.
-    size = steps // record_stride + 2
     times = np.empty(size)
     pos_samples = np.empty((size, n_vehicles))
     vel_samples = np.empty((size, n_vehicles))

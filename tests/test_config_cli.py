@@ -77,13 +77,64 @@ def test_type_coercion_rejects_mismatches():
         load_config(kind="single-lane", overrides=["n_vehicles=12.5"])
     with pytest.raises(ConfigurationError):
         load_config(kind="single-lane", overrides=['dt="fast"'])
+    # only the nullable keys take null
+    with pytest.raises(ConfigurationError, match="got None"):
+        load_config(kind="single-lane", overrides=["dt=null"])
+    with pytest.raises(ConfigurationError, match="got None"):
+        load_config(kind="stability", overrides=["delay_grid=[null]"])
+    assert load_config(kind="aggressive", overrides=["stagger=null"])["stagger"] is None
 
 
 def test_all_kinds_have_valid_defaults():
     for kind in KINDS:
         cfg = load_config(kind=kind)
         assert cfg.kind == kind
-        assert cfg.seeds[0] == cfg["base_seed"]
+        if "replicas" in cfg.values:
+            assert cfg.seeds[0] == cfg["base_seed"]
+
+
+# The keys and flags that each kind's runner does not read.
+_UNREAD_KEYS = [
+    *((kind, key) for kind in ("fundamental-diagram", "stability", "tau-curve")
+      for key in ("base_seed", "replicas", "record_stride")),
+    ("single-lane", "base_seed"),
+    ("single-lane", "replicas"),
+    ("custom", "replicas"),
+    ("custom", "delta_flow"),
+]
+_UNREAD_FLAGS = [
+    *((kind, flag) for kind in ("fundamental-diagram", "single-lane", "stability", "tau-curve")
+      for flag in ("--seed", "--replicas", "--workers")),
+    ("custom", "--replicas"),
+    ("custom", "--workers"),
+]
+
+
+@pytest.mark.parametrize("kind, option", _UNREAD_KEYS + _UNREAD_FLAGS)
+def test_kinds_reject_the_keys_and_flags_they_do_not_read(tmp_path, kind, option):
+    if option.startswith("--"):
+        with pytest.raises(SystemExit) as exc:
+            main([kind, "--out", str(tmp_path / "out"), "--quiet", option, "1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+    else:
+        with pytest.raises(ConfigurationError, match=f"unknown key '{option}'"):
+            load_config(kind=kind, overrides=[f"{option}=1"])
+
+
+@pytest.mark.parametrize("kind", ["single-lane", "load-balance"])
+@pytest.mark.parametrize("delta", [-1, 0])
+def test_nonpositive_delta_flow_rejected(kind, delta):
+    with pytest.raises(ConfigurationError, match="delta_flow"):
+        load_config(kind=kind, overrides=[f"delta_flow={delta}"])
+
+
+@pytest.mark.parametrize("key", ["aggressive_vehicle", "control_vehicle"])
+@pytest.mark.parametrize("vehicle", [-1, 50])
+def test_aggressive_vehicles_range_checked(key, vehicle):
+    assert load_config(kind="aggressive", overrides=[f"{key}=49"])[key] == 49
+    with pytest.raises(ConfigurationError, match=f"{key} {vehicle} out of range 0..49"):
+        load_config(kind="aggressive", overrides=[f"{key}={vehicle}"])
 
 
 def test_fundamental_diagram_cli(tmp_path, csv_columns):
@@ -338,8 +389,7 @@ def test_replica_tables_equal_whole_record_reductions_through_collisions(tmp_pat
 def test_manifest_records_the_processes_that_ran(tmp_path, monkeypatch, pool_sizes):
     import ringtraffic.cli as cli
 
-    status = main(["stability", "--out", str(tmp_path / "stab"), "--quiet", "--workers", "1000"])
-    assert status == EXIT_OK
+    run_scenario(load_config(kind="stability"), tmp_path / "stab", workers=1000)
     assert json.loads((tmp_path / "stab" / "manifest.json").read_text())["workers"] == 1
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
@@ -378,7 +428,7 @@ def test_manifest_lists_only_the_seeds_used(tmp_path):
     assert run_scenario(one_lane, tmp_path / "one").seeds == []
     two_lane = load_config(
         kind="custom",
-        overrides=["lanes=2", "n_lane0=30", "dt=0.05", "t_end=5", "replicas=3", "base_seed=41"],
+        overrides=["lanes=2", "n_lane0=30", "dt=0.05", "t_end=5", "base_seed=41"],
     )
     run_scenario(two_lane, tmp_path / "two")
     assert json.loads((tmp_path / "two" / "manifest.json").read_text())["seeds"] == [41]

@@ -5,6 +5,7 @@ import pytest
 
 from ringtraffic import (
     HistoryBuffer,
+    LaneChangeParams,
     ModelParams,
     TrajectoryRecord,
     advance,
@@ -12,6 +13,7 @@ from ringtraffic import (
     init_ring_equilibrium,
     perturb,
     run_single_lane,
+    run_two_lane,
     velocity_from_headway,
 )
 from ringtraffic.core import _velocity
@@ -353,6 +355,8 @@ def test_run_rejects_bad_lambda_rates(table1_params, rates):
 def test_run_rejects_bad_record_stride(table1_params, stride):
     with pytest.raises(ConfigurationError):
         run_single_lane(table1_params, 50, 0.5, 0.05, 5.0, record_stride=stride)
+    with pytest.raises(ConfigurationError):
+        run_two_lane(table1_params, LaneChangeParams(r=0.1, p=0.2), 50, delay=0.5, t_end=5.0, record_stride=stride)
 
 
 def test_run_accepts_numpy_stride_and_scalar_rate(table1_params):
