@@ -15,11 +15,7 @@ from .lane_change import (
     LaneChangeParams,
     TwoLaneState,
     adjacent_headways,
-    attempt_probability,
-    detect_passes,
-    frustration_update,
     init_two_lane,
-    per_step_attempt_probability,
     run_two_lane,
     safety_gap_check,
     two_lane_step,
@@ -39,7 +35,6 @@ from .metrics import (
 from .records import CollisionReport, LaneEvent, TrajectoryRecord
 from .single_lane import (
     HistoryBuffer,
-    RingState,
     advance,
     find_collisions,
     init_ring_equilibrium,
@@ -48,8 +43,6 @@ from .single_lane import (
 )
 from .stability import (
     StabilityVerdict,
-    build_jacobian_dense,
-    characteristic_roots,
     closed_form_eigenvalues,
     critical_reaction_time,
     lambert_w,
@@ -65,7 +58,6 @@ __all__ = [
     "equilibrium_flow",
     "fundamental_diagram_curve",
     "fundamental_diagram_summary",
-    "RingState",
     "HistoryBuffer",
     "CollisionReport",
     "LaneEvent",
@@ -76,10 +68,8 @@ __all__ = [
     "find_collisions",
     "run_single_lane",
     "StabilityVerdict",
-    "build_jacobian_dense",
     "closed_form_eigenvalues",
     "lambert_w",
-    "characteristic_roots",
     "max_growth_rate",
     "rightmost_roots",
     "critical_reaction_time",
@@ -87,11 +77,7 @@ __all__ = [
     "TwoLaneState",
     "init_two_lane",
     "adjacent_headways",
-    "frustration_update",
-    "attempt_probability",
-    "per_step_attempt_probability",
     "safety_gap_check",
-    "detect_passes",
     "two_lane_step",
     "run_two_lane",
     "FlowField",

@@ -590,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "replicas" in KIND_DEFAULTS[kind]:
             k.add_argument("--replicas", type=int, default=None, help="replica count override")
             k.add_argument("--workers", type=int, default=1, help="parallel replica workers")
-        k.add_argument("--quiet", action="store_true", help="suppress progress output")
+        k.add_argument(
+            "--quiet", action="store_true", help="do not print the artifact list and the summary lines"
+        )
     return parser
 
 
@@ -600,9 +602,12 @@ def main(argv=None) -> int:
     for flag, key in (("seed", "base_seed"), ("replicas", "replicas")):
         if getattr(args, flag, None) is not None:
             overrides.append(f"{key}={getattr(args, flag)}")
+    workers = getattr(args, "workers", 1)
     try:
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         cfg = load_config(kind=args.kind, path=args.config, overrides=overrides)
-        manifest = run_scenario(cfg, args.out, workers=max(1, getattr(args, "workers", 1)))
+        manifest = run_scenario(cfg, args.out, workers=workers)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -307,6 +307,13 @@ def _validate(kind: str, v: dict) -> None:
         raise ConfigurationError("delay_grid entries must be nonnegative")
     if any(n < 2 for n in v.get("n_list", ())):
         raise ConfigurationError("n_list entries must be >= 2")
+    if kind == "load-balance":
+        last = round(round(v["t_end"] / v["dt"]) * v["dt"], 12)  # time of the final sample
+        if v["delta_flow"] > last:
+            raise ConfigurationError(
+                f"delta_flow {v['delta_flow']} s exceeds the run's last sample at {last} s: "
+                "no flow window would close"
+            )
     if kind == "aggressive" and v["n_vehicles"] % 2 != 0:
         raise ConfigurationError("aggressive experiment splits n_vehicles evenly per lane")
     if "lanes" in v:

@@ -199,44 +199,17 @@ def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length
     return perceived_headways(positions_ref, lanes, track_length)[1]
 
 
-def attempt_probability(phi):
-    """Probability of a lane-change attempt per second, ``(2/pi) * arctan(phi)``."""
-    phi_arr = np.asarray(phi, dtype=float)
-    if np.any(phi_arr < 0):
-        raise ParameterError(f"frustration must be nonnegative, got {phi!r}")
-    prob = TWO_OVER_PI * np.arctan(phi_arr)
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return float(prob)
-    return prob
-
-
-def per_step_attempt_probability(phi, dt: float):
-    """Attempt probability per step, ``1 - (1 - P(phi))**dt``.
-
-    Composing ``1/dt`` consecutive steps recovers the per-second probability,
-    so the attempt rate does not depend on the integrator resolution.
+def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
+    """The frustration law over a whole fleet: ramp by ``r`` while the other
+    lane looks better (down by ``r`` otherwise), jump by ``p`` per pass, clamp
+    at 0.  Returns the new frustration and its attempt probability per step,
+    ``1 - (1 - (2/pi) arctan(phi))**dt``, which composes over ``1/dt`` steps to
+    the per-second probability, so the attempt rate does not depend on the
+    step size.  The step itself resets it after an executed change.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    prob = 1.0 - (1.0 - attempt_probability(phi)) ** dt
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return float(prob)
-    return prob
-
-
-def frustration_update(phi, own_h, adj_h, passes, lp: LaneChangeParams, dt: float):
-    """One frustration step: ramp by the lane comparison, jump per pass, clamp at 0.
-
-    Arguments broadcast, so one call updates a whole fleet.  The reset after
-    an executed lane change is applied by the step executor, not here.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    ramp = np.where(own_h < adj_h, lp.r, -lp.r)
-    updated = np.maximum(0.0, phi + ramp * dt + lp.p * passes)
-    if np.ndim(updated) == 0:
-        return float(updated)
-    return updated
+    ramp = np.where(own < adj, lp.r, -lp.r)
+    phi = np.maximum(0.0, phi + ramp * dt + lp.p * passes)
+    return phi, 1.0 - (1.0 - TWO_OVER_PI * np.arctan(phi)) ** dt
 
 
 def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams) -> bool:
@@ -312,20 +285,6 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length) -> np.ndarra
     return counts.astype(np.int64).reshape(shape)
 
 
-def detect_passes(prev_state: TwoLaneState, new_state: TwoLaneState, p: ModelParams) -> np.ndarray:
-    """Pass counts between two consecutive states.
-
-    Vehicles whose lane differs between the states changed lanes during the
-    step; their lane identity is ambiguous, so they are left out entirely.
-    """
-    if prev_state.n_vehicles != new_state.n_vehicles:
-        raise ParameterError("states describe different fleets")
-    excluded = prev_state.lanes != new_state.lanes
-    return _count_passes(
-        prev_state.positions, new_state.positions, new_state.lanes, excluded, p.track_length
-    )
-
-
 def _scan_order(positions, lanes, track_length) -> np.ndarray:
     """Row by row, lane 0 by ascending wrapped position, then lane 1 likewise."""
     return np.lexsort((positions % track_length, lanes), axis=-1)
@@ -378,8 +337,7 @@ def two_lane_step(
 
     def perceive(r):
         own, adj = perceived_headways(ref_pos[r], lanes[r], length)
-        phi = frustration_update(phis0[r], own, adj, pending[r], lp, dt)
-        return own, phi, per_step_attempt_probability(phi, dt)
+        return (own, *_frustration(phis0[r], own, adj, pending[r], lp, dt))
 
     own, phis, prob = perceive(slice(None))
     scan = _scan_order(positions, lanes, length)

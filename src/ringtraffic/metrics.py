@@ -143,10 +143,10 @@ def growth_rate_from_record(record: TrajectoryRecord, vehicle: int = 0) -> Growt
     return fit_growth_rate(f[1:])
 
 
-def lane_imbalance(state):
+def lane_imbalance(lanes):
     """Absolute difference in vehicle counts between the two lanes, along the
     last axis: an int for one fleet, an array for a stack of lane vectors."""
-    lanes = np.asarray(state.lanes if hasattr(state, "lanes") else state)
+    lanes = np.asarray(lanes)
     diff = np.abs(np.count_nonzero(lanes == 0, axis=-1) - np.count_nonzero(lanes == 1, axis=-1))
     return int(diff) if np.ndim(diff) == 0 else diff
 

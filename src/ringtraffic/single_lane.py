@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +23,6 @@ from .records import (
     CollisionReport,
     TrajectoryRecord,
 )
-
-
-@dataclass
-class RingState:
-    """Unwrapped vehicle positions on the ring at one instant."""
-
-    positions: np.ndarray
-    time: float = 0.0
-
-    @property
-    def n_vehicles(self) -> int:
-        return len(self.positions)
 
 
 def ring_headways(positions: np.ndarray, track_length: float) -> np.ndarray:
@@ -95,7 +82,6 @@ class HistoryBuffer:
 
     def __init__(self, initial_positions: np.ndarray, delay: float, dt: float):
         m = delay_steps(delay, dt)
-        self.dt = float(dt)
         self.delay_steps = m
         self._buf = np.repeat(np.asarray(initial_positions, dtype=float)[None], m + 1, axis=0)
         self._head = 0  # slot of the newest snapshot
@@ -115,8 +101,8 @@ class HistoryBuffer:
         return self._buf[(self._head + 1) % (self.delay_steps + 1)]
 
 
-def init_ring_equilibrium(n_vehicles: int, p: ModelParams) -> RingState:
-    """Equally spaced vehicles, ``x_j = j * L / N`` for ``j = 0..N-1``."""
+def init_ring_equilibrium(n_vehicles: int, p: ModelParams) -> np.ndarray:
+    """Positions of equally spaced vehicles, ``x_j = j * L / N`` for ``j = 0..N-1``."""
     if n_vehicles < 2:
         raise ConfigurationError(f"need at least 2 vehicles, got {n_vehicles!r}")
     spacing = p.track_length / n_vehicles
@@ -130,29 +116,30 @@ def init_ring_equilibrium(n_vehicles: int, p: ModelParams) -> RingState:
             f"{p.d_min} m; vehicles will be stationary",
             stacklevel=2,
         )
-    return RingState(positions=spacing * np.arange(n_vehicles, dtype=float), time=0.0)
+    return spacing * np.arange(n_vehicles, dtype=float)
 
 
 def perturb(
-    state: RingState, vehicle_index: int, displacement: float, track_length: float
-) -> RingState:
-    """Displace one vehicle downstream (positive) or upstream (negative).
+    positions: np.ndarray, vehicle_index: int, displacement: float, track_length: float
+) -> np.ndarray:
+    """A copy of the positions with one vehicle displaced downstream
+    (positive) or upstream (negative).
 
     Rejects displacements that would close either neighboring headway.
     """
-    n = state.n_vehicles
+    n = len(positions)
     if not 0 <= vehicle_index < n:
         raise ParameterError(f"vehicle_index {vehicle_index!r} out of range 0..{n - 1}")
     if not math.isfinite(displacement):
         raise ParameterError(f"displacement must be finite, got {displacement!r}")
-    positions = state.positions.copy()
+    positions = positions.copy()
     positions[vehicle_index] += displacement
     h = ring_headways(positions, track_length)
     if np.min(h) <= 0:
         raise ParameterError(
             f"displacement {displacement!r} would close a headway to {np.min(h):.6g} m"
         )
-    return RingState(positions=positions, time=state.time)
+    return positions
 
 
 def closed(headways: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -224,19 +211,18 @@ def run_single_lane(
     m, steps, size = run_grid(delay, dt, t_end, record_stride)
     t_end = steps * dt
 
-    state = init_ring_equilibrium(n_vehicles, p)
+    positions = init_ring_equilibrium(n_vehicles, p)
     if perturbation is not None:
         vehicle, displacement = perturbation
         if displacement != 0.0:
-            state = perturb(state, vehicle, displacement, p.track_length)
+            positions = perturb(positions, vehicle, displacement, p.track_length)
     lam = _lambda_rates(lambda_rates, n_vehicles, p)
 
     block = max(m, 1)
     # Row i holds the headways of step s0 - block + i, for the block of steps
     # starting at s0; before t = 0 the vehicles held their initial spacing.
     hist = np.empty((2 * block + 1, n_vehicles))
-    hist[: block + 1] = ring_headways(state.positions, p.track_length)
-    positions = state.positions
+    hist[: block + 1] = ring_headways(positions, p.track_length)
     times = np.empty(size)
     pos_samples = np.empty((size, n_vehicles))
     vel_samples = np.empty((size, n_vehicles))

@@ -3,8 +3,9 @@
 The linearized dynamics about the equal-spacing equilibrium reduce, after
 diagonalizing the (N-1)x(N-1) interaction matrix, to independent scalar delay
 equations whose characteristic roots are Lambert-W values.  The closed-form
-eigenvalues make the analysis cheap for any fleet size; the dense matrix is
-kept only as a brute-force cross-check.
+eigenvalues make the analysis cheap for any fleet size; the dense matrix and
+every branch's characteristic roots are kept only as brute-force cross-checks,
+in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from scipy.special import lambertw as _scipy_lambertw
 from .core import ModelParams
 from .errors import NumericalError, ParameterError
 
-# Branches listed by characteristic_roots; the principal one holds the rightmost root.
-BRANCHES = tuple(range(-8, 9))
 _RESIDUAL_TOL = 1e-10
 _HALLEY_TOL = 1e-13
 _HALLEY_MAX_ITER = 100
@@ -46,18 +45,6 @@ def closed_form_eigenvalues(n_vehicles: int, p: ModelParams) -> np.ndarray:
     if n_vehicles % 2 == 0:
         eigs[n_vehicles // 2 - 1] = 2.0 * c  # exp(i pi) rounds to -1 + 1.2e-16i
     return eigs
-
-
-def build_jacobian_dense(n_vehicles: int, p: ModelParams) -> np.ndarray:
-    """Dense relative-coordinate Jacobian; cross-check path, capped at N=64."""
-    if n_vehicles > 64:
-        raise ParameterError("dense Jacobian is a verification path; use the closed form beyond N=64")
-    c = scale_constant(n_vehicles, p)
-    m = n_vehicles - 1
-    jac = np.eye(m)
-    jac -= np.eye(m, k=1)  # each vehicle is pulled by its leader
-    jac[:, 0] += 1.0  # wrap coupling through the reference vehicle
-    return c * jac
 
 
 @dataclass(frozen=True)
@@ -119,27 +106,6 @@ def _verify(residual: np.ndarray, inputs, what: str) -> None:
         )
 
 
-def _check_delay(delay: float) -> None:
-    if not (math.isfinite(delay) and delay >= 0):
-        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
-
-
-def characteristic_roots(eigenvalue: complex, delay: float) -> np.ndarray:
-    """Roots of ``lam = d * exp(-lam * delay)`` for one Jacobian eigenvalue ``d``.
-
-    For zero delay the single root is ``d`` itself; otherwise one root per
-    Lambert-W branch in :data:`BRANCHES` is returned, each verified to satisfy
-    the defining equation to a relative residual below 1e-10.
-    """
-    _check_delay(delay)
-    d = complex(eigenvalue)
-    if delay == 0:
-        return np.array([d])
-    roots = np.array([lambert_w(d * delay, b) for b in BRANCHES]) / delay
-    _verify(np.abs(roots - d * np.exp(-roots * delay)), d, "characteristic root")
-    return roots
-
-
 def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray:
     """Rightmost characteristic root of each ring mode k = 1..N-1, in mode order.
 
@@ -147,7 +113,8 @@ def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray
     (Shinozaki & Mori, Automatica 42, 2006), so one verified branch call
     suffices; for zero delay the roots are the eigenvalues themselves.
     """
-    _check_delay(delay)
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
     eigs = closed_form_eigenvalues(n_vehicles, p)
     if delay == 0:
         return eigs

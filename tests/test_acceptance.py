@@ -13,8 +13,6 @@ from scipy.optimize import linear_sum_assignment
 
 from ringtraffic import (
     LaneChangeParams,
-    build_jacobian_dense,
-    characteristic_roots,
     closed_form_eigenvalues,
     critical_reaction_time,
     equilibrium_flow,
@@ -28,6 +26,7 @@ from ringtraffic.single_lane import ring_headways
 
 
 from conftest import read_csv_columns
+from oracles import build_jacobian_dense, characteristic_roots
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:

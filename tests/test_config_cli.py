@@ -271,6 +271,40 @@ def test_bad_config_exit_code(tmp_path):
     assert status == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_rejected(tmp_path, capsys, workers):
+    out = tmp_path / "lb"
+    status = main(
+        [
+            "load-balance", "--out", str(out), "--quiet",
+            "--workers", str(workers), "--replicas", "2", "--set", "t_end=10",
+        ]
+    )
+    assert status == EXIT_CONFIG
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end, delta_flow", [(1, 5.0), (5.02, 5.01)])
+def test_load_balance_rejects_delta_flow_past_the_last_sample(tmp_path, t_end, delta_flow):
+    # At dt = 0.05, t_end = 5.02 runs 100 steps, so the last sample is at 5.0 s.
+    overrides = [f"t_end={t_end}", f"delta_flow={delta_flow}"]
+    with pytest.raises(ConfigurationError, match="delta_flow"):
+        load_config(kind="load-balance", overrides=overrides)
+    out = tmp_path / "lb"
+    args = ["load-balance", "--out", str(out), "--quiet", "--replicas", "2"]
+    assert main(args + [a for o in overrides for a in ("--set", o)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_load_balance_with_delta_flow_at_t_end_has_one_flow_window(tmp_path, csv_columns):
+    cfg = load_config(kind="load-balance", overrides=["t_end=5", "delta_flow=5", "replicas=2"])
+    manifest = run_scenario(cfg, tmp_path)
+    flow = csv_columns(tmp_path / "lb_flow_mean.csv")
+    assert flow["t"].tolist() == [5.0]
+    assert manifest.summary["final_q_mean"] == flow["q_mean"][-1]
+
+
 def test_manifest_config_echo_is_idempotent(tmp_path):
     out = tmp_path / "lb"
     cfg = load_config(kind="load-balance", overrides=["t_end=10", "replicas=2"])

@@ -9,11 +9,7 @@ from ringtraffic import (
     ModelParams,
     TwoLaneState,
     adjacent_headways,
-    attempt_probability,
-    detect_passes,
-    frustration_update,
     init_two_lane,
-    per_step_attempt_probability,
     run_single_lane,
     run_two_lane,
     safety_gap_check,
@@ -22,6 +18,7 @@ from ringtraffic import (
 from ringtraffic.errors import ParameterError
 from ringtraffic.lane_change import (
     _count_passes,
+    _frustration,
     _Samples,
     own_headways,
     perceived_headways,
@@ -29,6 +26,8 @@ from ringtraffic.lane_change import (
 )
 from ringtraffic.metrics import lane_imbalance_series
 from ringtraffic.single_lane import ring_crossings
+
+from oracles import detect_passes, frustration_law
 
 
 def make_state(positions0, positions1, p, phis=None, lambdas=None):
@@ -67,20 +66,34 @@ def test_adjacent_headway_side_by_side_not_ahead(table1_params):
     np.testing.assert_allclose(adjacent(solo, table1_params), 1000.0)
 
 
+def frustration(phi, own, adj, passes, lp, dt):
+    return _frustration(phi, own, adj, passes, lp, dt)[0]
+
+
+def per_step_attempt_probability(phi, dt):
+    """The law's attempt probability per step at frustration ``phi`` (no ramp, no pass)."""
+    return _frustration(phi, 1.0, 1.0, 0, LaneChangeParams(r=0.0, p=0.0), dt)[1]
+
+
+def attempt_probability(phi):
+    """The attempt probability per second, ``(2/pi) arctan(phi)``."""
+    return 2.0 / math.pi * np.arctan(phi)
+
+
 def test_frustration_ramp_up(table1_params):
     lp = LaneChangeParams(r=0.1, p=0.2)
-    assert frustration_update(0.3, 20.0, 40.0, 0, lp, 1.0) == pytest.approx(0.4)
+    assert frustration(0.3, 20.0, 40.0, 0, lp, 1.0) == pytest.approx(0.4)
 
 
 def test_frustration_clamped_at_zero():
     lp = LaneChangeParams(r=0.1, p=0.2)
-    assert frustration_update(0.05, 40.0, 20.0, 0, lp, 1.0) == 0.0
+    assert frustration(0.05, 40.0, 20.0, 0, lp, 1.0) == 0.0
 
 
 def test_frustration_pass_jump():
     lp = LaneChangeParams(r=0.1, p=0.2)
-    assert frustration_update(0.0, 40.0, 20.0, 1, lp, 1.0) == pytest.approx(0.1)
-    assert frustration_update(0.0, 20.0, 40.0, 1, lp, 1.0) == pytest.approx(0.3)
+    assert frustration(0.0, 40.0, 20.0, 1, lp, 1.0) == pytest.approx(0.1)
+    assert frustration(0.0, 20.0, 40.0, 1, lp, 1.0) == pytest.approx(0.3)
 
 
 def test_frustration_update_is_elementwise():
@@ -89,25 +102,21 @@ def test_frustration_update_is_elementwise():
     own = np.array([20.0, 40.0, 40.0, 20.0])
     adj = np.array([40.0, 20.0, 20.0, 40.0])
     passes = np.array([0, 0, 1, 1])
-    updated = frustration_update(phi, own, adj, passes, lp, 0.5)
-    expected = [
-        max(0.0, f + (lp.r if o < a else -lp.r) * 0.5 + lp.p * k)
-        for f, o, a, k in zip(phi, own, adj, passes)
-    ]
+    updated, prob = _frustration(phi, own, adj, passes, lp, 0.5)
+    expected, expected_prob = frustration_law(phi, own, adj, passes, lp.r, lp.p, 0.5)
     np.testing.assert_array_equal(updated, expected)
+    np.testing.assert_allclose(prob, expected_prob, rtol=1e-15, atol=0)
 
 
 def test_attempt_probability_values():
-    assert attempt_probability(0.0) == 0.0
-    assert attempt_probability(0.5) == pytest.approx(0.2951672353008665, abs=1e-12)
-    assert attempt_probability(1e6) > 0.999999
-    with pytest.raises(ParameterError):
-        attempt_probability(-0.1)
+    assert per_step_attempt_probability(0.0, 1.0) == 0.0
+    assert per_step_attempt_probability(0.5, 1.0) == pytest.approx(0.2951672353008665, abs=1e-12)
+    assert per_step_attempt_probability(1e6, 1.0) > 0.999999
 
 
 def test_attempt_probability_monotone():
     phi = np.linspace(0.0, 50.0, 2000)
-    prob = attempt_probability(phi)
+    prob = per_step_attempt_probability(phi, 1.0)
     assert np.all(np.diff(prob) > 0)
     assert np.all((prob >= 0) & (prob < 1))
 
@@ -418,12 +427,13 @@ def test_two_lane_step_applies_frustration_law(table1_params):
     state.pending_passes[[4, 33]] = 1
     hist = HistoryBuffer(state.positions, 0.0, 0.05)
     length = table1_params.track_length
-    expected = frustration_update(
+    expected, _ = frustration_law(
         state.phis,
         own_headways(state.positions, state.lanes, length),
         adjacent_headways(state.positions, state.lanes, length),
         state.pending_passes,
-        lp,
+        lp.r,
+        lp.p,
         0.05,
     )
     outcome = two_lane_step(state, hist, lp, table1_params, 0.05, np.random.default_rng(3))

@@ -27,18 +27,18 @@ def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stri
     """The single-lane run one Euler step at a time, from a ring buffer of
     past positions: the oracle of the block kernel."""
     steps = int(round(t_end / dt))
-    state = init_ring_equilibrium(n_vehicles, p)
+    x0 = init_ring_equilibrium(n_vehicles, p)
     if perturbation is not None and perturbation[1] != 0.0:
-        state = perturb(state, *perturbation, p.track_length)
-    hist = HistoryBuffer(state.positions, delay, dt)
+        x0 = perturb(x0, *perturbation, p.track_length)
+    hist = HistoryBuffer(x0, delay, dt)
     lam = p.lambda_rate if lambda_rates is None else np.asarray(lambda_rates, dtype=float)
-    positions, t = state.positions, 0.0
+    positions, t = x0, 0.0
     times, xs, vs = [], [], []
     reason, termination_time, collisions = "completed", steps * dt, []
     for s in range(steps + 1):
         collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
         v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lam, p)
-        next_positions = positions + hist.dt * v
+        next_positions = positions + dt * v
         hist.push(next_positions)
         if collisions or s == steps or s % record_stride == 0:
             times.append(t)
@@ -81,13 +81,13 @@ def kernel_steps(initial, m, blocks, dt, p):
 
 
 def test_equilibrium_positions(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    assert np.array_equal(state.positions, 20.0 * np.arange(50))
+    x0 = init_ring_equilibrium(50, table1_params)
+    assert np.array_equal(x0, 20.0 * np.arange(50))
 
 
 def test_equilibrium_two_vehicles(table1_params):
-    state = init_ring_equilibrium(2, table1_params)
-    assert np.array_equal(state.positions, [0.0, 500.0])
+    x0 = init_ring_equilibrium(2, table1_params)
+    assert np.array_equal(x0, [0.0, 500.0])
 
 
 def test_equilibrium_rejects_spacing_at_vehicle_size(table1_params):
@@ -101,38 +101,38 @@ def test_equilibrium_warns_above_jam_density(table1_params):
 
 
 def test_perturb_shifts_one_vehicle(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    shifted = perturb(state, 0, 1.0, table1_params.track_length)
-    h = ring_headways(shifted.positions, table1_params.track_length)
+    x0 = init_ring_equilibrium(50, table1_params)
+    shifted = perturb(x0, 0, 1.0, table1_params.track_length)
+    h = ring_headways(shifted, table1_params.track_length)
     assert h[0] == pytest.approx(19.0)
     assert h[-1] == pytest.approx(21.0)
-    assert np.all(shifted.positions[1:] == state.positions[1:])
+    assert np.all(shifted[1:] == x0[1:])
 
 
 def test_perturb_zero_is_identity(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    same = perturb(state, 3, 0.0, table1_params.track_length)
-    assert np.array_equal(same.positions, state.positions)
+    x0 = init_ring_equilibrium(50, table1_params)
+    same = perturb(x0, 3, 0.0, table1_params.track_length)
+    assert np.array_equal(same, x0)
 
 
 def test_perturb_rejects_closing_a_headway(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
+    x0 = init_ring_equilibrium(50, table1_params)
     with pytest.raises(ParameterError):
-        perturb(state, 0, 20.0, table1_params.track_length)
+        perturb(x0, 0, 20.0, table1_params.track_length)
 
 
 def test_history_requires_integer_delay_multiple(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
+    x0 = init_ring_equilibrium(50, table1_params)
     with pytest.raises(ConfigurationError):
-        HistoryBuffer(state.positions, delay=0.005, dt=0.01)
-    buf = HistoryBuffer(state.positions, delay=0.75, dt=0.01)
+        HistoryBuffer(x0, delay=0.005, dt=0.01)
+    buf = HistoryBuffer(x0, delay=0.75, dt=0.01)
     assert buf.delay_steps == 75
 
 
 def test_delayed_headway_zero_delay_is_current(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    h = ring_headways(state.positions, table1_params.track_length)[None]
-    v, _ = advance(state.positions, h, table1_params.lambda_rate, 0.01, table1_params)
+    x0 = init_ring_equilibrium(50, table1_params)
+    h = ring_headways(x0, table1_params.track_length)[None]
+    v, _ = advance(x0, h, table1_params.lambda_rate, 0.01, table1_params)
     np.testing.assert_allclose(v, velocity_from_headway(20.0, table1_params), rtol=0, atol=1e-12)
 
 
@@ -162,12 +162,12 @@ def test_delayed_headway_holds_initial_snapshot():
 
 
 def test_euler_step_advances_equilibrium_uniformly(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    h = ring_headways(state.positions, table1_params.track_length)[None]
-    _, x = advance(state.positions, h, table1_params.lambda_rate, 0.01, table1_params)
-    np.testing.assert_array_equal(x[0], state.positions)
+    x0 = init_ring_equilibrium(50, table1_params)
+    h = ring_headways(x0, table1_params.track_length)[None]
+    _, x = advance(x0, h, table1_params.lambda_rate, 0.01, table1_params)
+    np.testing.assert_array_equal(x[0], x0)
     stepped = x[1]
-    np.testing.assert_allclose(stepped - state.positions, 0.01 * V_EQ_50, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stepped - x0, 0.01 * V_EQ_50, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ring_headways(stepped, table1_params.track_length), 20.0, atol=1e-12)
 
 
@@ -181,12 +181,12 @@ def test_euler_step_zero_velocity_below_minimal_headway():
 
 
 def test_advance_steps_each_row_in_sequence(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
+    x0 = init_ring_equilibrium(50, table1_params)
     rng = np.random.default_rng(3)
     headways = 20.0 + rng.normal(scale=2.0, size=(6, 50))
-    v, x = advance(state.positions, headways, table1_params.lambda_rate, 0.05, table1_params)
+    v, x = advance(x0, headways, table1_params.lambda_rate, 0.05, table1_params)
     assert v.shape == (6, 50) and x.shape == (7, 50)
-    positions = state.positions
+    positions = x0
     for b in range(6):
         step_v = _velocity(headways[b], table1_params.lambda_rate, table1_params)
         assert step_v.tobytes() == v[b].tobytes()
@@ -195,11 +195,11 @@ def test_advance_steps_each_row_in_sequence(table1_params):
 
 
 def test_advance_uses_per_vehicle_rates(table1_params):
-    state = init_ring_equilibrium(50, table1_params)
-    h = ring_headways(state.positions, table1_params.track_length)[None]
+    x0 = init_ring_equilibrium(50, table1_params)
+    h = ring_headways(x0, table1_params.track_length)[None]
     rates = np.full(50, table1_params.lambda_rate)
     rates[3] = 2.0
-    (v,), _ = advance(state.positions, h, rates, 0.01, table1_params)
+    (v,), _ = advance(x0, h, rates, 0.01, table1_params)
     fast = ModelParams(lambda_rate=2.0)
     assert v[3] == pytest.approx(velocity_from_headway(20.0, fast))
     np.testing.assert_allclose(np.delete(v, 3), V_EQ_50, rtol=0, atol=1e-12)
@@ -251,8 +251,8 @@ def test_translation_invariance(table1_params):
     base = perturb(base, 0, 1.0, table1_params.track_length)
     shift = 123.0
 
-    plain = kernel_steps(base.positions, 10, 40, 0.05, table1_params)  # delay 0.5 s
-    moved = kernel_steps(base.positions + shift, 10, 40, 0.05, table1_params)
+    plain = kernel_steps(base, 10, 40, 0.05, table1_params)  # delay 0.5 s
+    moved = kernel_steps(base + shift, 10, 40, 0.05, table1_params)
     assert np.max(np.abs(moved - (plain + shift))) < 1e-7
 
 

@@ -8,8 +8,6 @@ from scipy.special import lambertw as scipy_lambertw
 
 from ringtraffic import (
     ModelParams,
-    build_jacobian_dense,
-    characteristic_roots,
     closed_form_eigenvalues,
     critical_reaction_time,
     lambert_w,
@@ -19,6 +17,8 @@ from ringtraffic import (
 import ringtraffic.stability as stability
 from ringtraffic.errors import NumericalError, ParameterError
 from ringtraffic.stability import scale_constant
+
+from oracles import build_jacobian_dense, characteristic_roots
 
 
 def newton_root(d, delay, start, tol=1e-13):
