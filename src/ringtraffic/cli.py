@@ -126,18 +126,6 @@ def _run_fundamental_diagram(cfg: ScenarioConfig, out: Path, workers: int):
     )
 
 
-def _single_lane_record(cfg: ScenarioConfig):
-    return run_single_lane(
-        cfg.params,
-        cfg["n_vehicles"],
-        cfg["delay"],
-        cfg["dt"],
-        cfg["t_end"],
-        perturbation=(cfg["perturb_vehicle"], cfg["perturb_displacement"]),
-        record_stride=cfg["record_stride"],
-    )
-
-
 def _write_trajectory(cfg: ScenarioConfig, out: Path, record, seed):
     """Write ``trajectory.csv``; return the artifacts, termination and summary
     of a single-run kind."""
@@ -153,7 +141,15 @@ def _write_trajectory(cfg: ScenarioConfig, out: Path, record, seed):
 
 def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
     p = cfg.params
-    record = _single_lane_record(cfg)
+    record = run_single_lane(
+        p,
+        cfg["n_vehicles"],
+        cfg["delay"],
+        cfg["dt"],
+        cfg["t_end"],
+        perturbation=(cfg["perturb_vehicle"], cfg["perturb_displacement"]),
+        record_stride=cfg["record_stride"],
+    )
     artifacts, terminations, summary = _write_trajectory(cfg, out, record, None)
     try:
         fit = growth_rate_from_record(record, vehicle=cfg["perturb_vehicle"])
@@ -184,6 +180,11 @@ def _run_single_lane(cfg: ScenarioConfig, out: Path, workers: int):
             [ff.times[:, None], ff.positions, ff.q],
         )
         artifacts.append(flow_path.name)
+    else:
+        summary["flow_field_skipped"] = (
+            f"run ends ({record.termination_reason}) at {t_hi} s, "
+            f"not after delta_flow {delta} s: no flow window closes"
+        )
     return artifacts, terminations, summary
 
 
@@ -501,15 +502,13 @@ def _run_replica_kind(cfg: ScenarioConfig, out: Path, workers: int, kind: _Repli
     return artifacts, terminations, summary
 
 
-def _run_custom(cfg: ScenarioConfig, out: Path, workers: int):
-    if cfg["lanes"] == 1:
-        return _write_trajectory(cfg, out, _single_lane_record(cfg), None)
+def _run_two_lane(cfg: ScenarioConfig, out: Path, workers: int):
     record = run_two_lane(
         cfg.params,
         LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=cfg["base_seed"]),
-        n_lane0=cfg["n_lane0"] if cfg["n_lane0"] is not None else cfg["n_vehicles"],
-        n_lane1=cfg["n_lane1"] if cfg["n_lane1"] is not None else 0,
-        stagger=cfg["stagger"] or 0.0,
+        n_lane0=cfg["n_lane0"],
+        n_lane1=cfg["n_lane1"],
+        stagger=cfg["stagger"],
         delay=cfg["delay"],
         dt=cfg["dt"],
         t_end=cfg["t_end"],
@@ -530,11 +529,8 @@ _RUNNERS = {
     "stability": _run_stability,
     "tau-curve": _run_tau_curve,
     **{name: partial(_run_replica_kind, kind=kind) for name, kind in _REPLICA_KINDS.items()},
-    "custom": _run_custom,
+    "two-lane": _run_two_lane,
 }
-
-# Kinds where a collision is an anomaly rather than a reported result.
-_COLLISION_IS_FAILURE = {"load-balance", "aggressive"}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1) -> RunManifest:
@@ -559,7 +555,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1) -> RunManifest:
 
 
 def exit_status(manifest: RunManifest) -> int:
-    if manifest.kind in _COLLISION_IS_FAILURE and any(
+    # A collision is a reported result of a single run, an anomaly in a replica kind.
+    if manifest.kind in _REPLICA_KINDS and any(
         t["reason"] == TERMINATED_COLLISION for t in manifest.terminations
     ):
         return EXIT_COLLISION

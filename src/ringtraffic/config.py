@@ -17,16 +17,6 @@ from .single_lane import delay_steps
 
 ENV_PREFIX = "RINGTRAFFIC_"
 
-KINDS = (
-    "fundamental-diagram",
-    "single-lane",
-    "stability",
-    "tau-curve",
-    "load-balance",
-    "aggressive",
-    "custom",
-)
-
 _PARAMS_DEFAULTS = {
     "lambda_rate": 1.0,
     "v_max": 40.0,
@@ -92,33 +82,25 @@ KIND_DEFAULTS: dict[str, dict] = {
         "aggressive_vehicle": None,
         "control_vehicle": None,
     },
-    "custom": {
+    "two-lane": {
         "params": _PARAMS_DEFAULTS,
         "base_seed": 12345,
         "record_stride": 1,
-        "lanes": 1,
-        "n_vehicles": 50,
-        "n_lane0": None,
-        "n_lane1": None,
+        "n_lane0": 50,
+        "n_lane1": 0,
         "stagger": 0.0,
         "delay": 0.0,
         "dt": 0.01,
         "t_end": 100.0,
-        "perturb_vehicle": 0,
-        "perturb_displacement": 0.0,
         "r": 0.1,
         "p": 0.1,
     },
 }
 
-# Keys that take null (their derived default), with their scalar type once set.
-_NULLABLE_TYPES = {
-    "stagger": float,
-    "aggressive_vehicle": int,
-    "control_vehicle": int,
-    "n_lane0": int,
-    "n_lane1": int,
-}
+KINDS = tuple(KIND_DEFAULTS)
+
+# The scalar type, once set, of each key whose default is null (derived at run time).
+_NULLABLE_TYPES = {"stagger": float, "aggressive_vehicle": int, "control_vehicle": int}
 
 
 @dataclass(frozen=True)
@@ -147,8 +129,8 @@ class ScenarioConfig:
 
 def _coerce(key: str, value, default):
     """Coerce a merged value to the default's type; reject mismatches.  Only
-    the nullable keys take ``None``."""
-    if key in _NULLABLE_TYPES:
+    a key whose default is ``None`` takes ``None``."""
+    if default is None:
         if value is None:
             return None
         default = _NULLABLE_TYPES[key]()
@@ -316,11 +298,7 @@ def _validate(kind: str, v: dict) -> None:
             )
     if kind == "aggressive" and v["n_vehicles"] % 2 != 0:
         raise ConfigurationError("aggressive experiment splits n_vehicles evenly per lane")
-    if "lanes" in v:
-        if v["lanes"] not in (1, 2):
-            raise ConfigurationError(f"lanes must be 1 or 2, got {v['lanes']}")
-        if v["lanes"] == 2:
-            n0 = v["n_lane0"] if v["n_lane0"] is not None else v["n_vehicles"]
-            n1 = v["n_lane1"] if v["n_lane1"] is not None else 0
-            if n0 + n1 < 2 or n0 < 1 or n1 < 0:
-                raise ConfigurationError(f"invalid lane split ({n0}, {n1})")
+    if "n_lane0" in v:
+        n0, n1 = v["n_lane0"], v["n_lane1"]
+        if n0 + n1 < 2 or n0 < 1 or n1 < 0:
+            raise ConfigurationError(f"invalid lane split ({n0}, {n1})")

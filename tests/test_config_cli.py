@@ -77,12 +77,36 @@ def test_type_coercion_rejects_mismatches():
         load_config(kind="single-lane", overrides=["n_vehicles=12.5"])
     with pytest.raises(ConfigurationError):
         load_config(kind="single-lane", overrides=['dt="fast"'])
-    # only the nullable keys take null
+    # only a key whose default is null takes null
     with pytest.raises(ConfigurationError, match="got None"):
         load_config(kind="single-lane", overrides=["dt=null"])
     with pytest.raises(ConfigurationError, match="got None"):
         load_config(kind="stability", overrides=["delay_grid=[null]"])
+    # null stagger means L/N in aggressive; two-lane's stagger has no null default
     assert load_config(kind="aggressive", overrides=["stagger=null"])["stagger"] is None
+    with pytest.raises(ConfigurationError, match="'stagger' expects a number, got None"):
+        load_config(kind="two-lane", overrides=["stagger=null"])
+
+
+def test_custom_is_an_unknown_kind(tmp_path):
+    with pytest.raises(ConfigurationError, match="unknown kind 'custom'"):
+        load_config(kind="custom")
+    with pytest.raises(SystemExit) as exc:
+        main(["custom", "--out", str(tmp_path / "out"), "--quiet"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_lane0, n_lane1", [(0, 5), (5, -1), (1, 0)])
+def test_two_lane_rejects_an_invalid_lane_split(n_lane0, n_lane1):
+    overrides = [f"n_lane0={n_lane0}", f"n_lane1={n_lane1}"]
+    with pytest.raises(ConfigurationError, match=rf"invalid lane split \({n_lane0}, {n_lane1}\)"):
+        load_config(kind="two-lane", overrides=overrides)
+
+
+def test_two_lane_accepts_one_vehicle_per_lane():
+    cfg = load_config(kind="two-lane", overrides=["n_lane0=1", "n_lane1=1"])
+    assert (cfg["n_lane0"], cfg["n_lane1"]) == (1, 1)
 
 
 def test_all_kinds_have_valid_defaults():
@@ -99,14 +123,15 @@ _UNREAD_KEYS = [
       for key in ("base_seed", "replicas", "record_stride")),
     ("single-lane", "base_seed"),
     ("single-lane", "replicas"),
-    ("custom", "replicas"),
-    ("custom", "delta_flow"),
+    *(("two-lane", key) for key in (
+        "lanes", "n_vehicles", "perturb_vehicle", "perturb_displacement", "delta_flow", "replicas",
+    )),
 ]
 _UNREAD_FLAGS = [
     *((kind, flag) for kind in ("fundamental-diagram", "single-lane", "stability", "tau-curve")
       for flag in ("--seed", "--replicas", "--workers")),
-    ("custom", "--replicas"),
-    ("custom", "--workers"),
+    ("two-lane", "--replicas"),
+    ("two-lane", "--workers"),
 ]
 
 
@@ -200,12 +225,12 @@ def test_single_lane_cli_small(tmp_path, csv_columns):
     assert np.all(flow["q_veh_per_s"] >= 0)
 
 
-def test_custom_two_lane_cli(tmp_path, csv_columns):
-    out = tmp_path / "custom"
+def test_two_lane_cli(tmp_path, csv_columns):
+    out = tmp_path / "two"
     status = main(
         [
-            "custom", "--out", str(out), "--quiet",
-            "--set", "lanes=2", "--set", "n_lane0=30", "--set", "n_lane1=0",
+            "two-lane", "--out", str(out), "--quiet",
+            "--set", "n_lane0=30", "--set", "n_lane1=0",
             "--set", "dt=0.05", "--set", "t_end=20", "--set", "r=0.1", "--set", "p=0.2",
         ]
     )
@@ -258,6 +283,27 @@ def test_single_lane_without_oscillation_skips_the_fit(tmp_path):
     assert manifest["summary"]["k"] is None
     assert "growth_fit_skipped" in manifest["summary"]
     assert "growth_fit.csv" not in manifest["artifacts"]
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        (["t_end=1"], "run ends (completed) at 1.0 s, not after delta_flow 18.63 s"),
+        (
+            ["delay=0.75", "delta_flow=295", "record_stride=50"],
+            "run ends (collision) at 287.6 s, not after delta_flow 295.0 s",
+        ),
+    ],
+    ids=["short-run", "crash"],
+)
+def test_single_lane_says_why_it_writes_no_flow_field(tmp_path, overrides, reason):
+    out = tmp_path / "sl"
+    args = ["single-lane", "--out", str(out), "--quiet"]
+    assert main(args + [a for o in overrides for a in ("--set", o)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "flow_field.csv" not in manifest["artifacts"]
+    assert not (out / "flow_field.csv").exists()
+    assert manifest["summary"]["flow_field_skipped"].startswith(reason)
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -458,11 +504,10 @@ def test_rolling_flow_window_equals_the_whole_record(stride):
 
 
 def test_manifest_lists_only_the_seeds_used(tmp_path):
-    one_lane = load_config(kind="custom", overrides=["t_end=5"])
+    one_lane = load_config(kind="single-lane", overrides=["t_end=5"])
     assert run_scenario(one_lane, tmp_path / "one").seeds == []
     two_lane = load_config(
-        kind="custom",
-        overrides=["lanes=2", "n_lane0=30", "dt=0.05", "t_end=5", "base_seed=41"],
+        kind="two-lane", overrides=["n_lane0=30", "dt=0.05", "t_end=5", "base_seed=41"]
     )
     run_scenario(two_lane, tmp_path / "two")
     assert json.loads((tmp_path / "two" / "manifest.json").read_text())["seeds"] == [41]
