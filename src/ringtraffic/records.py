@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelParams
-from .errors import RangeError
+from .errors import ParameterError, RangeError
 
 TERMINATED_COMPLETED = "completed"
 TERMINATED_COLLISION = "collision"
@@ -107,8 +107,14 @@ class TrajectoryRecord:
         write_csv(path, self.metadata_lines(extra_metadata), columns, values)
 
 
-# Rows formatted per block; bounds the memory of the text built at once.
-CHUNK_ROWS = 1 << 14
+# Values of each full-shape column formatted per block.  A block's numpy
+# temporaries are then a few hundred KiB, and the allocator hands the same
+# pages back from one block to the next.  Writing the 1.44 M-row trajectory
+# of the delay 0.75 s crash run in a fresh process took about 2.0k minor
+# page faults with 1 << 13 and 1.9k with 1 << 12, most of them for the time
+# column formatted once; with 1 << 14, 29k-48k, as pages were returned to
+# the system and faulted in anew block after block.
+CHUNK_ROWS = 1 << 13
 
 # Below this many values, formatting them one by one with ``%`` is cheaper.
 SMALL_FIELD = 200
@@ -283,29 +289,47 @@ def _int_field(values):
 _FIELDS = {"i": _int_field, "u": _int_field, "f": _float_field, "U": _str_field}
 
 
+def _chars(a):
+    """Fixed-width byte fields of ``a`` at its own shape: ``a.shape + (W,)``."""
+    field = _FIELDS[a.dtype.kind](a.ravel())
+    return field.reshape(a.shape + field.shape[-1:])
+
+
 def write_csv(path, metadata_lines, columns, values) -> None:
     """Write ``#`` metadata lines, a header, and one row per element of the
     broadcast ``values`` (one array-like per column), in C order.
 
     Integer columns print with ``%d``, float columns with ``%.12g`` and string
-    columns verbatim.  Rows are formatted in blocks of about ``CHUNK_ROWS``
-    along the leading axis, so broadcast inputs are never expanded whole.
-    Each column is formatted at its own shape within the block, into
-    fixed-width byte fields whose holes are dropped when a block is written.
+    columns verbatim.  Other dtypes, no columns, or a count of ``values``
+    unlike that of ``columns`` raise ``ParameterError``.  Each column is
+    formatted at its own shape into fixed-width byte fields whose holes are
+    dropped when a block of rows is written.  A column smaller than the table
+    (a time column ``(S, 1)``, a vehicle column ``(N,)``) is formatted once
+    per write and each block takes a slice of it; full-shape columns are
+    formatted block by block, about ``CHUNK_ROWS`` values at a time along the
+    leading axis, so broadcast inputs are never expanded whole.
     """
     arrays = [np.asarray(v) for v in values]
-    fields = [_FIELDS[a.dtype.kind] for a in arrays]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if not columns or len(columns) != len(arrays):
+        raise ParameterError(f"CSV needs one array per column: {len(columns)} columns, {len(arrays)} arrays")
+    for name, a in zip(columns, arrays):
+        if a.dtype.kind not in _FIELDS:
+            raise ParameterError(f"CSV column {name!r} has dtype {a.dtype}, not integers, floats or strings")
+    shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
+    once = {}
+    for i, a in enumerate(arrays):
+        if a.shape != shape:
+            chars = _chars(a)
+            once[i] = np.broadcast_to(chars, shape[:1] + chars.shape[1:])
     step = max(1, CHUNK_ROWS // max(1, math.prod(shape[1:])))
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*metadata_lines, ",".join(columns)]).encode("utf-8"))
         for start in range(0, shape[0], step):
-            blocks = []
-            for a, field in zip(arrays, fields):
-                part = a if a.shape[0] == 1 else a[start : start + step]
-                chars = field(part.ravel())
-                blocks.append(chars.reshape(part.shape + chars.shape[-1:]))
+            stop = start + step
+            blocks = [
+                once[i][start:stop] if i in once else _chars(a[start:stop]) for i, a in enumerate(arrays)
+            ]
             rows = min(step, shape[0] - start)
             buf = np.empty((rows, *shape[1:], sum(b.shape[-1] + 1 for b in blocks)), dtype=np.uint8)
             at = 0

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from ringtraffic import records
+from ringtraffic.errors import ParameterError
 from ringtraffic.records import LaneEvent, write_csv, write_events_csv
 
 
@@ -54,6 +57,69 @@ def test_writer_broadcasts_blocks_across_chunks(tmp_path, monkeypatch):
     write_csv(path, [], ["t", "j", "v"], [times[:, None], np.arange(5), values])
     rows = [(times[s], j, values[s, j]) for s in range(37) for j in range(5)]
     assert path.read_text() == reference_csv([], ["t", "j", "v"], rows)
+
+
+NARROW_S, NARROW_N = 1500, 3
+
+
+@pytest.mark.parametrize("chunk", [1, 7, NARROW_S * NARROW_N - 1, 4096, 10**6])
+def test_narrow_columns_give_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, chunk):
+    """An ``(S, 1)`` float column long enough for the numpy path and a
+    ``(1, N)`` int column, formatted once per write, sliced into blocks of
+    every size beside full-shape float columns that hold the special values."""
+    monkeypatch.setattr(records, "CHUNK_ROWS", chunk)
+    s, n = NARROW_S, NARROW_N
+    assert s >= records.SMALL_FIELD
+    rng = np.random.default_rng(2)
+    times = np.round(np.arange(s) * 0.01, 12)
+    times[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    vehicles = (np.arange(n, dtype=np.int64) - 1)[None, :] * 10**14
+    x = rng.normal(scale=1e3, size=(s, n))
+    x.flat[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    v = rng.random((s, n)) * 30.0
+    v.flat[-len(SPECIAL_FLOATS) :] = SPECIAL_FLOATS
+    path = tmp_path / "narrow.csv"
+    write_csv(path, ["# k=v"], ["t", "j", "x", "v"], [times[:, None], vehicles, x, v])
+    rows = [(times[i], vehicles[0, j], x[i, j], v[i, j]) for i in range(s) for j in range(n)]
+    assert path.read_text() == reference_csv(["# k=v"], ["t", "j", "x", "v"], rows)
+
+
+def test_writer_memory_is_bounded_by_a_block(tmp_path):
+    """The writer's peak allocation stays below one full-shape column."""
+    s, n = 10000, 50
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.random((s, n)), axis=0) * 10.0
+    v = rng.random((s, n)) * 30.0
+    times = np.arange(s)[:, None] * 0.01
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", [], ["t", "vehicle", "x", "v"], [times, np.arange(n), x, v])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s * n * 8
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array([True, False]), np.array([1 + 2j, 3j]), np.array([None, 1], dtype=object)],
+    ids=["bool", "complex", "object"],
+)
+def test_writer_rejects_unformattable_columns(tmp_path, column):
+    with pytest.raises(ParameterError, match=rf"'bad'.*{column.dtype}"):
+        write_csv(tmp_path / "x.csv", [], ["ok", "bad"], [np.arange(2), column])
+
+
+@pytest.mark.parametrize("columns, n_arrays", [(["a"], 2), (["a", "b"], 1), ([], 0)])
+def test_writer_needs_one_array_per_column(tmp_path, columns, n_arrays):
+    with pytest.raises(ParameterError, match="one array per column"):
+        write_csv(tmp_path / "x.csv", [], columns, [np.arange(3)] * n_arrays)
+
+
+def test_writer_writes_one_row_for_scalar_columns(tmp_path):
+    path = tmp_path / "scalar.csv"
+    write_csv(path, ["# a=1"], ["x", "n", "s"], [np.float64(1.5), 3, "w"])
+    assert path.read_text() == reference_csv(["# a=1"], ["x", "n", "s"], [(1.5, 3, "w")])
 
 
 def test_writer_streams_a_table_longer_than_one_chunk(tmp_path):
