@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override a config key (dotted paths reach params.*)",
+            help="override a config key (params.KEY sets a model parameter)",
         )
         k.add_argument("--out", required=True, help="output directory")
         # Only the kinds that read a flag's key offer the flag.

@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass
 
 from .core import ModelParams
 from .errors import ConfigurationError
 from .single_lane import delay_steps
-
-ENV_PREFIX = "RINGTRAFFIC_"
 
 _PARAMS_DEFAULTS = {
     "lambda_rate": 1.0,
@@ -155,8 +152,6 @@ def _merge(resolved: dict, incoming: dict, source: str, defaults: dict) -> None:
     """Merge ``incoming`` into ``resolved``, coercing each value against its
     kind's default."""
     for key, value in incoming.items():
-        if key == "kind":
-            continue
         if key == "params":
             if not isinstance(value, dict):
                 raise ConfigurationError(f"{source}: 'params' must be an object")
@@ -172,7 +167,9 @@ def _merge(resolved: dict, incoming: dict, source: str, defaults: dict) -> None:
         resolved[key] = _coerce(key, value, defaults[key])
 
 
-def _parse_set_override(item: str) -> tuple[str, object]:
+def _parse_set_override(item: str) -> dict:
+    """One ``--set key=value`` item as a config fragment: a ``params.`` key
+    goes into ``params``, any other key to the top level."""
     if "=" not in item:
         raise ConfigurationError(f"--set expects key=value, got {item!r}")
     key, raw = item.split("=", 1)
@@ -181,56 +178,27 @@ def _parse_set_override(item: str) -> tuple[str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key, value
-
-
-def _nest_dotted(pairs) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        parts = key.split(".")
-        target = out
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigurationError(f"override path '{key}' conflicts with a scalar")
-        target[parts[-1]] = value
-    return out
-
-
-def _env_overrides(resolved: dict, environ) -> dict:
-    """Environment overrides: RINGTRAFFIC_T_END=200, RINGTRAFFIC_PARAMS__V_MAX=30."""
-    pairs = []
-    known = {k.upper(): k for k in resolved if k != "params"}
-    for name, raw in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):]
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        if path.startswith("PARAMS__"):
-            pkey = path[len("PARAMS__"):].lower()
-            pairs.append((f"params.{pkey}", value))
-        elif path.upper() in known:
-            pairs.append((known[path.upper()], value))
-        else:
-            raise ConfigurationError(f"environment variable {name} names no config key")
-    return _nest_dotted(pairs)
+    if key.startswith("params."):
+        return {"params": {key[len("params."):]: value}}
+    return {key: value}
 
 
 def load_config(
     kind: str | None = None,
     path: str | None = None,
     overrides: list[str] | None = None,
+    *,
     environ=None,
-    inline: dict | None = None,
 ) -> ScenarioConfig:
-    """Resolve a scenario config from defaults, file, environment, and --set.
+    """Resolve a scenario config from kind defaults, then the config file,
+    then each ``--set`` override in turn.
 
-    Precedence (lowest to highest): kind defaults, config file, ``inline``
-    dict, environment variables, ``--set`` overrides.
+    A file's ``kind``, if it has one, must be the given kind.  The
+    environment is no config source: ``environ``, kept for callers that pass
+    ``{}``, must be empty.
     """
+    if environ:
+        raise ConfigurationError("the environment is no config source; use --set")
     file_data: dict = {}
     if path is not None:
         try:
@@ -246,24 +214,20 @@ def load_config(
         if not isinstance(file_data, dict):
             raise ConfigurationError(f"config file {path!r} must hold a JSON object")
 
-    kind = kind or file_data.get("kind") or (inline or {}).get("kind")
+    file_kind = file_data.pop("kind", None)
+    kind = kind or file_kind
     if kind is None:
-        raise ConfigurationError("no experiment kind given (flag, config, or inline)")
+        raise ConfigurationError("no experiment kind given (subcommand or config file)")
     if kind not in KINDS:
         raise ConfigurationError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+    if file_kind not in (None, kind):
+        raise ConfigurationError(f"config file {path!r} is for kind {file_kind!r}, not {kind!r}")
 
     defaults = KIND_DEFAULTS[kind]
     resolved = copy.deepcopy(defaults)
-    _merge(resolved, file_data, f"config file {path!r}" if path else "config file", defaults)
-    if inline:
-        _merge(resolved, inline, "inline config", defaults)
-    env_data = _env_overrides(resolved, environ if environ is not None else os.environ)
-    if env_data:
-        _merge(resolved, env_data, "environment", defaults)
-    if overrides:
-        _merge(
-            resolved, _nest_dotted(_parse_set_override(o) for o in overrides), "--set", defaults
-        )
+    _merge(resolved, file_data, f"config file {path!r}", defaults)
+    for item in overrides or ():
+        _merge(resolved, _parse_set_override(item), "--set", defaults)
 
     _validate(kind, resolved)
     return ScenarioConfig(kind=kind, values=resolved)

@@ -168,24 +168,6 @@ def advance(positions: np.ndarray, delayed_headways: np.ndarray, lambda_rates, d
     return v, np.concatenate((positions[None], dt * v)).cumsum(axis=0)
 
 
-def _lambda_rates(lambda_rates, n_vehicles: int, p: ModelParams):
-    """The rate of every vehicle: ``p.lambda_rate``, a scalar, or ``(N,)`` finite
-    positive rates."""
-    if lambda_rates is None:
-        return p.lambda_rate
-    try:
-        lam = np.asarray(lambda_rates, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"lambda_rates must be numeric, got {lambda_rates!r}") from None
-    if lam.shape not in ((), (n_vehicles,)):
-        raise ParameterError(
-            f"lambda_rates must be a scalar or of shape ({n_vehicles},), got shape {lam.shape}"
-        )
-    if not np.all(np.isfinite(lam) & (lam > 0)):
-        raise ParameterError(f"lambda_rates must be finite and positive, got {lambda_rates!r}")
-    return lam
-
-
 def run_single_lane(
     p: ModelParams,
     n_vehicles: int,
@@ -194,7 +176,6 @@ def run_single_lane(
     t_end: float,
     perturbation: tuple[int, float] | None = None,
     record_stride: int = 1,
-    lambda_rates=None,
 ) -> TrajectoryRecord:
     """Run the perturbation experiment on a single-lane ring.
 
@@ -216,7 +197,6 @@ def run_single_lane(
         vehicle, displacement = perturbation
         if displacement != 0.0:
             positions = perturb(positions, vehicle, displacement, p.track_length)
-    lam = _lambda_rates(lambda_rates, n_vehicles, p)
 
     block = max(m, 1)
     # Row i holds the headways of step s0 - block + i, for the block of steps
@@ -233,7 +213,7 @@ def run_single_lane(
 
     for s0 in range(0, steps + 1, block):
         b = min(block, steps + 1 - s0)
-        v, x = advance(positions, hist[block - m : block - m + b], lam, dt, p)
+        v, x = advance(positions, hist[block - m : block - m + b], p.lambda_rate, dt, p)
         hist[block + 1 : block + 1 + b] = ring_headways(x[1:], p.track_length)
         hit = closed(hist[block : block + b], p)
         crashed = hit.any()

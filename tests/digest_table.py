@@ -1,9 +1,8 @@
 """Recompute the CSV digest table that CHANGES.md quotes for each change.
 
 Runs eleven CLI configurations of this checkout, each in a fresh interpreter
-with ``src/`` on ``PYTHONPATH`` and no ``RINGTRAFFIC_*`` variable set, into a
-temporary directory, and prints one line per run: its digest, its CSV count
-and its arguments.  The digest is the first 16 hex digits of the SHA-256 of
+with ``src/`` on ``PYTHONPATH``, into a temporary directory, and prints one
+line per run: its digest, its CSV count and its arguments.  The digest is the first 16 hex digits of the SHA-256 of
 what ``sha256sum`` prints for the run's CSVs in C-locale name order, that is
 of ``cd OUT && sha256sum *.csv | sha256sum``.
 
@@ -43,8 +42,7 @@ def digest(out: Path) -> tuple[str, int]:
 
 
 def main() -> int:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RINGTRAFFIC_")}
-    env["PYTHONPATH"] = str(SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryDirectory() as tmp:
         for i, args in enumerate(RUNS):
             out = Path(tmp) / str(i)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,17 +60,38 @@ def test_parse_error_reports_line(tmp_path):
         load_config(kind="single-lane", path=str(path))
 
 
-def test_env_and_set_overrides(tmp_path):
-    env = {"RINGTRAFFIC_T_END": "120", "RINGTRAFFIC_PARAMS__V_MAX": "30"}
-    cfg = load_config(
-        kind="single-lane", environ=env, overrides=["params.d_min=6.0", "n_vehicles=40"]
-    )
-    assert cfg["t_end"] == 120.0
-    assert cfg.params.v_max == 30.0
+def test_env_and_set_overrides(monkeypatch):
+    cfg = load_config(kind="single-lane", overrides=["params.d_min=6.0", "n_vehicles=40"])
     assert cfg.params.d_min == 6.0
     assert cfg["n_vehicles"] == 40
-    with pytest.raises(ConfigurationError):
-        load_config(kind="single-lane", environ={"RINGTRAFFIC_NOPE": "1"})
+    # the environment is no config source
+    plain = load_config(kind="single-lane").to_dict()
+    monkeypatch.setenv("RINGTRAFFIC_T_END", "120")
+    monkeypatch.setenv("RINGTRAFFIC_PARAMS__V_MAX", "30")
+    monkeypatch.setenv("RINGTRAFFIC_NOPE", "1")
+    assert load_config(kind="single-lane").to_dict() == plain
+    assert load_config(kind="single-lane", environ={}).to_dict() == plain
+    with pytest.raises(ConfigurationError, match="the environment is no config source"):
+        load_config(kind="single-lane", environ={"RINGTRAFFIC_T_END": "120"})
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("t_end", "--set expects key=value, got 't_end'"),
+        ("params=3", "'params' must be an object"),
+        ("params.v_max.x=1", "unknown key 'params.v_max.x'"),
+        ("t_end.x=1", "unknown key 't_end.x'"),
+        ("kind=single-lane", "unknown key 'kind'"),
+    ],
+)
+def test_bad_set_items_exit_2(tmp_path, capsys, item, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(kind="single-lane", overrides=[item])
+    out = tmp_path / "sl"
+    assert main(["single-lane", "--out", str(out), "--quiet", "--set", item]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_type_coercion_rejects_mismatches():
@@ -355,9 +377,58 @@ def test_manifest_config_echo_is_idempotent(tmp_path):
     out = tmp_path / "lb"
     cfg = load_config(kind="load-balance", overrides=["t_end=10", "replicas=2"])
     manifest = run_scenario(cfg, out)
-    echoed = load_config(inline=manifest.config)
-    assert echoed.to_dict() == manifest.config
-    assert config_hash(echoed.to_dict()) == manifest.config_hash
+    saved = tmp_path / "echo.json"
+    saved.write_text(json.dumps(manifest.config))
+    for echoed in (load_config(path=str(saved)), load_config(kind="load-balance", path=str(saved))):
+        assert echoed.to_dict() == manifest.config
+        assert config_hash(echoed.to_dict()) == manifest.config_hash
+    rerun = tmp_path / "rerun"
+    assert main(["load-balance", "--config", str(saved), "--out", str(rerun), "--quiet"]) == EXIT_OK
+    assert json.loads((rerun / "manifest.json").read_text())["config_hash"] == manifest.config_hash
+    for name in manifest.artifacts:
+        assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_config_file_of_another_kind_is_rejected(tmp_path, capsys):
+    lb = tmp_path / "lb.json"
+    lb.write_text(json.dumps({"kind": "load-balance", "t_end": 50}))
+    with pytest.raises(ConfigurationError, match="is for kind 'load-balance', not 'single-lane'"):
+        load_config(kind="single-lane", path=str(lb))
+    out = tmp_path / "sl"
+    assert main(["single-lane", "--config", str(lb), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "is for kind 'load-balance'" in capsys.readouterr().err
+    assert not out.exists()
+    # a file whose kind is absent or matches the subcommand still loads
+    assert load_config(kind="load-balance", path=str(lb))["t_end"] == 50.0
+    lb.write_text(json.dumps({"t_end": 50}))
+    assert load_config(kind="single-lane", path=str(lb))["t_end"] == 50.0
+
+
+# Each kind at small settings.
+_SMALL_RUNS = {
+    "fundamental-diagram": ["--set", "rho_resolution_per_km=10"],
+    "single-lane": ["--set", "t_end=5", "--set", "delta_flow=2", "--set", "record_stride=10",
+                    "--set", "flow_grid_nt=3", "--set", "flow_grid_nx=3"],
+    "stability": ["--set", "delay_grid=[0.5,0.75]"],
+    "tau-curve": ["--set", "n_list=[10,50]"],
+    "load-balance": ["--set", "t_end=5", "--set", "delta_flow=2", "--replicas", "2"],
+    "aggressive": ["--set", "t_end=5", "--replicas", "2"],
+    "two-lane": ["--set", "n_lane0=20", "--set", "n_lane1=10", "--set", "dt=0.05", "--set", "t_end=5"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stray_environment_variables_change_nothing(tmp_path, monkeypatch, kind):
+    args = [kind, *_SMALL_RUNS[kind], "--quiet", "--out"]
+    assert main(args + [str(tmp_path / "plain")]) == EXIT_OK
+    monkeypatch.setenv("RINGTRAFFIC_DT", "0.05")
+    monkeypatch.setenv("RINGTRAFFIC_NOPE", "1")
+    assert main(args + [str(tmp_path / "env")]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "env").glob("*.csv"))
+    assert names
+    for name in names:
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
 def test_seed_and_replicas_flags(tmp_path):

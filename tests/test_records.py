@@ -24,6 +24,23 @@ def reference_csv(metadata_lines, columns, rows) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def assert_same_text(actual, expected) -> None:
+    """Exact equality of two texts (or byte strings).  A mismatch names the
+    first differing line and both lengths, where pytest's diff of two large
+    texts can run for minutes."""
+    __tracebackhide__ = True
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    got_line = repr(got[i]) if i < len(got) else "the end"
+    want_line = repr(want[i]) if i < len(want) else "the end"
+    pytest.fail(
+        f"first difference at line {i + 1}: {got_line}, expected {want_line}; "
+        f"length {len(actual)}, expected {len(expected)}"
+    )
+
+
 SPECIAL_FLOATS = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 3.0, -2.0, 1e15, 1e16, 123456789012.5,
     1 / 3, 1e-300, 5e-324, 0.1 + 0.2,
@@ -38,7 +55,7 @@ def test_writer_matches_per_value_reference(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["# a=1", "# b=x"], ["i", "f", "s", "k"], [ints, floats, words, small])
     rows = zip(ints.tolist(), floats.tolist(), words.tolist(), small.tolist())
-    assert path.read_text() == reference_csv(["# a=1", "# b=x"], ["i", "f", "s", "k"], rows)
+    assert_same_text(path.read_text(), reference_csv(["# a=1", "# b=x"], ["i", "f", "s", "k"], rows))
 
 
 def test_vectorised_writer_matches_per_value_reference(tmp_path, monkeypatch):
@@ -56,7 +73,7 @@ def test_writer_broadcasts_blocks_across_chunks(tmp_path, monkeypatch):
     path = tmp_path / "b.csv"
     write_csv(path, [], ["t", "j", "v"], [times[:, None], np.arange(5), values])
     rows = [(times[s], j, values[s, j]) for s in range(37) for j in range(5)]
-    assert path.read_text() == reference_csv([], ["t", "j", "v"], rows)
+    assert_same_text(path.read_text(), reference_csv([], ["t", "j", "v"], rows))
 
 
 NARROW_S, NARROW_N = 1500, 3
@@ -81,7 +98,7 @@ def test_narrow_columns_give_the_same_bytes_at_every_block_size(tmp_path, monkey
     path = tmp_path / "narrow.csv"
     write_csv(path, ["# k=v"], ["t", "j", "x", "v"], [times[:, None], vehicles, x, v])
     rows = [(times[i], vehicles[0, j], x[i, j], v[i, j]) for i in range(s) for j in range(n)]
-    assert path.read_text() == reference_csv(["# k=v"], ["t", "j", "x", "v"], rows)
+    assert_same_text(path.read_text(), reference_csv(["# k=v"], ["t", "j", "x", "v"], rows))
 
 
 def test_writer_memory_is_bounded_by_a_block(tmp_path):
@@ -119,7 +136,7 @@ def test_writer_needs_one_array_per_column(tmp_path, columns, n_arrays):
 def test_writer_writes_one_row_for_scalar_columns(tmp_path):
     path = tmp_path / "scalar.csv"
     write_csv(path, ["# a=1"], ["x", "n", "s"], [np.float64(1.5), 3, "w"])
-    assert path.read_text() == reference_csv(["# a=1"], ["x", "n", "s"], [(1.5, 3, "w")])
+    assert_same_text(path.read_text(), reference_csv(["# a=1"], ["x", "n", "s"], [(1.5, 3, "w")]))
 
 
 def test_writer_streams_a_table_longer_than_one_chunk(tmp_path):
@@ -128,7 +145,7 @@ def test_writer_streams_a_table_longer_than_one_chunk(tmp_path):
     x = rng.random(n) * 10.0 ** rng.integers(-8, 17, n)
     path = tmp_path / "long.csv"
     write_csv(path, [], ["n", "x"], [np.arange(n), x])
-    assert path.read_text() == reference_csv([], ["n", "x"], zip(range(n), x.tolist()))
+    assert_same_text(path.read_text(), reference_csv([], ["n", "x"], zip(range(n), x.tolist())))
 
 
 def test_events_csv_matches_reference(tmp_path):
@@ -140,9 +157,9 @@ def test_events_csv_matches_reference(tmp_path):
     write_events_csv(path, events, ["# seed=1"])
     columns = ["t", "vehicle", "event", "from_lane", "to_lane", "phi_before"]
     rows = [(e.time, e.vehicle, e.kind, e.from_lane, e.to_lane, e.phi_before) for e in events]
-    assert path.read_text() == reference_csv(["# seed=1"], columns, rows)
+    assert_same_text(path.read_text(), reference_csv(["# seed=1"], columns, rows))
     write_events_csv(path, [])
-    assert path.read_text() == ",".join(columns) + "\n"
+    assert_same_text(path.read_text(), ",".join(columns) + "\n")
 
 
 def check_floats(tmp_path, values):
@@ -150,7 +167,7 @@ def check_floats(tmp_path, values):
     values = np.concatenate([values, -values])
     path = tmp_path / "floats.csv"
     write_csv(path, [], ["x"], [values])
-    assert path.read_text() == reference_csv([], ["x"], ((v,) for v in values.tolist()))
+    assert_same_text(path.read_text(), reference_csv([], ["x"], ((v,) for v in values.tolist())))
 
 
 def test_writer_matches_percent_at_rounding_ties(tmp_path):
@@ -195,7 +212,7 @@ def test_writer_matches_percent_on_integer_columns(tmp_path, monkeypatch):
     path = tmp_path / "ints.csv"
     write_csv(path, [], ["w", "m", "s", "u"], [wide, medium, small, unsigned])
     rows = zip(wide.tolist(), medium.tolist(), small.tolist(), unsigned.tolist())
-    assert path.read_text() == reference_csv([], ["w", "m", "s", "u"], rows)
+    assert_same_text(path.read_text(), reference_csv([], ["w", "m", "s", "u"], rows))
 
 
 def test_writer_keeps_every_character_of_strings(tmp_path):
@@ -203,4 +220,4 @@ def test_writer_keeps_every_character_of_strings(tmp_path):
     path = tmp_path / "s.csv"
     write_csv(path, [], ["w", "n"], [words, np.arange(len(words))])
     expected = reference_csv([], ["w", "n"], zip(words.tolist(), range(len(words))))
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert_same_text(path.read_bytes(), expected.encode("utf-8"))

@@ -23,7 +23,7 @@ from ringtraffic.single_lane import closed, ring_headways
 V_EQ_50 = 40.0 * (1.0 - math.exp(-0.3125))
 
 
-def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stride=1, lambda_rates=None):
+def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stride=1):
     """The single-lane run one Euler step at a time, from a ring buffer of
     past positions: the oracle of the block kernel."""
     steps = int(round(t_end / dt))
@@ -31,13 +31,12 @@ def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stri
     if perturbation is not None and perturbation[1] != 0.0:
         x0 = perturb(x0, *perturbation, p.track_length)
     hist = HistoryBuffer(x0, delay, dt)
-    lam = p.lambda_rate if lambda_rates is None else np.asarray(lambda_rates, dtype=float)
     positions, t = x0, 0.0
     times, xs, vs = [], [], []
     reason, termination_time, collisions = "completed", steps * dt, []
     for s in range(steps + 1):
         collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
-        v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), lam, p)
+        v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), p.lambda_rate, p)
         next_positions = positions + dt * v
         hist.push(next_positions)
         if collisions or s == steps or s % record_stride == 0:
@@ -317,14 +316,6 @@ def test_block_kernel_matches_per_step_oracle(table1_params, dt, delay_steps, st
     assert_same_run(run_single_lane(*args, **kwargs), per_step_run(*args, **kwargs))
 
 
-def test_block_kernel_matches_oracle_with_per_vehicle_rates(table1_params):
-    rates = np.linspace(0.7, 1.4, 40)
-    for delay, stride in ((0.0, 1), (0.05, 3), (0.75, 1), (1.5, 7)):
-        args = (table1_params, 40, delay, 0.05, 30.0)
-        kwargs = dict(perturbation=(1, 1.0), record_stride=stride, lambda_rates=rates)
-        assert_same_run(run_single_lane(*args, **kwargs), per_step_run(*args, **kwargs))
-
-
 @pytest.mark.parametrize(
     "n, delay, displacement, stride, row",
     [
@@ -345,12 +336,6 @@ def test_block_kernel_matches_oracle_at_collisions(table1_params, n, delay, disp
     assert_same_run(record, per_step_run(*args, **kwargs))
 
 
-@pytest.mark.parametrize("rates", [np.full(50, np.nan), np.ones(7), np.zeros(50), -1.0, np.inf, "fast"])
-def test_run_rejects_bad_lambda_rates(table1_params, rates):
-    with pytest.raises(ParameterError):
-        run_single_lane(table1_params, 50, 0.5, 0.05, 5.0, lambda_rates=rates)
-
-
 @pytest.mark.parametrize("stride", [2.5, True, 0, -3, "2"])
 def test_run_rejects_bad_record_stride(table1_params, stride):
     with pytest.raises(ConfigurationError):
@@ -360,6 +345,6 @@ def test_run_rejects_bad_record_stride(table1_params, stride):
 
 
 def test_run_accepts_numpy_stride_and_scalar_rate(table1_params):
-    record = run_single_lane(table1_params, 10, 0.5, 0.05, 5.0, record_stride=np.int64(4), lambda_rates=1.0)
+    record = run_single_lane(table1_params, 10, 0.5, 0.05, 5.0, record_stride=np.int64(4))
     base = run_single_lane(table1_params, 10, 0.5, 0.05, 5.0, record_stride=4)
     assert_same_run(record, base)
