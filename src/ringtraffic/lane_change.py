@@ -37,6 +37,10 @@ TWO_OVER_PI = 2.0 / math.pi
 # of positions below about 1e9 track lengths.
 PASS_MARGIN = 1e-6
 
+# Variates drawn per row at once, in whole steps (at least one): at 50
+# vehicles a draw then serves 20 steps, and ten rows hold 80 kB of them.
+VARIATE_BLOCK = 1 << 10
+
 
 @dataclass(frozen=True)
 class LaneChangeParams:
@@ -139,16 +143,113 @@ def _by_row(*arrays):
     return (*[a.reshape(-1, shape[-1]) for a in arrays], shape)
 
 
-def _unsort(values, row, order):
-    """Values given in each row's sorted order, put back in vehicle order."""
-    out = np.empty_like(values)
-    out[row, order] = values
-    return out
+class _Ring:
+    """Each row's vehicles in order of wrapped position: a stable argsort of
+    the row (``order``), the same as indices into the flattened ``(rows, N)``
+    arrays (``flat``, each row offset by ``base``), the sorted positions
+    ``x``, and ``ahead``, those positions followed by their images a lap on.
+
+    Lane changes move no vehicle, so one ring of the step-start positions
+    serves perception, scan order, safety gap and pass count for the whole
+    step, however the lanes change in between.  Gathers and scatters go
+    through the flat indices: at fleet sizes of tens they cost a fraction of
+    indexing by ``[row, order]``.
+    """
+
+    __slots__ = ("base", "order", "flat", "x", "ahead")
+
+    def __init__(self, base, order, flat, x, ahead):
+        self.base, self.order, self.flat, self.x, self.ahead = base, order, flat, x, ahead
+
+    @classmethod
+    def of(cls, positions, track_length):
+        """The ring of ``(rows, N)`` unwrapped positions."""
+        wrapped = positions % track_length
+        rows, n = wrapped.shape
+        base = np.arange(0, rows * n, n)[:, None]
+        order = np.argsort(wrapped, axis=1, kind="stable")
+        flat = order + base
+        x = wrapped.ravel()[flat]
+        return cls(base, order, flat, x, np.concatenate([x, x + track_length], axis=1))
+
+    def rows(self, r: int):
+        """The ring of row ``r`` alone, as one row (views); the flat indices
+        of one row are its order."""
+        at = slice(r, r + 1)
+        return _Ring(self.base[:1], self.order[at], self.order[at], self.x[at], self.ahead[at])
+
+    def sort(self, values):
+        """``(rows, N)`` values in vehicle order, put in ring order."""
+        return values.ravel()[self.flat]
+
+    def unsort(self, values):
+        """``(rows, N)`` values in ring order, put back in vehicle order."""
+        out = np.empty(values.shape, values.dtype)
+        out.ravel()[self.flat] = values
+        return out
 
 
-def perceived_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float):
+def _lane_runs(lane):
+    """Each sorted row of lanes over two laps, and ``switch[r, c]``: the first
+    column after ``c`` in the other lane than ``c``'s (``2n`` if none)."""
+    rows, n = lane.shape
+    twice = np.concatenate([lane, lane], axis=1)
+    switch = np.full((rows, 2 * n), 2 * n)
+    switch[:, :-1] = np.where(twice[:, 1:] != twice[:, :-1], np.arange(1, 2 * n), 2 * n)
+    return twice, np.minimum.accumulate(switch[:, ::-1], axis=1)[:, ::-1]
+
+
+def _in_lane(ring, twice, switch, track_length):
+    """In-lane headways in ring order.  The leader is the next column of the
+    same lane, at the latest the vehicle's own image n columns on."""
+    n = twice.shape[1] // 2
+    after = np.arange(1, n + 1)
+    leader = np.where(twice[:, 1 : n + 1] == twice[:, :n], after, switch[:, 1 : n + 1])
+    own = ring.ahead.ravel()[leader + 2 * ring.base] - ring.x
+    own[leader == after + (n - 1)] = track_length
+    return own
+
+
+def _other_lane(ring, twice, switch, track_length):
+    """Other-lane headways in ring order: to the first column of the other
+    lane past the vehicle's run of equal positions."""
+    x = ring.x
+    n = x.shape[1]
+    column = past = np.arange(1, n + 1)
+    tied = x[:, 1:] == x[:, :-1]
+    if tied.any():
+        # past[r, j]: the first column after j's run of equal positions.
+        past = np.full(x.shape, n)
+        past[:, :-1] = np.where(tied, n, column[: n - 1])
+        past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
+        at = past + 2 * ring.base
+        at_past, switch_past = twice.ravel()[at], switch.ravel()[at]
+    else:
+        at_past, switch_past = twice[:, 1 : n + 1], switch[:, 1 : n + 1]
+    nearest = np.where(at_past != twice[:, :n], past, switch_past)
+    # A leader past the row's end sits a lap on, d <= 0 behind: d + L is
+    # d % L there, and the L that a side-by-side 0 would become.
+    gap = x.ravel()[nearest % n + ring.base] - x
+    np.add(gap, track_length, out=gap, where=nearest >= n)
+    gap[gap == 0.0] = track_length
+    gap[nearest == 2 * n] = np.inf
+    return gap
+
+
+def _headways(positions_ref, lanes, track_length, ring, halves):
+    """The selected halves of the perception (``_in_lane``, ``_other_lane``)
+    on the given positions, in vehicle order and the shape of ``lanes``."""
+    lanes, shape = _by_row(lanes)
+    if ring is None:
+        ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
+    twice, switch = _lane_runs(ring.sort(lanes))
+    return [ring.unsort(half(ring, twice, switch, track_length)).reshape(shape) for half in halves]
+
+
+def perceived_headways(positions_ref, lanes, track_length: float, ring=None):
     """In-lane and other-lane headways of every vehicle on the given
-    positions, row by row, from one sort of each row.
+    positions, row by row, from one sort of each row (``ring``, that of
+    ``positions_ref``, when the caller has built it).
 
     The in-lane headway runs to the next vehicle of the same lane; a vehicle
     alone in its lane faces its own periodic image, headway exactly L.  The
@@ -156,47 +257,17 @@ def perceived_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_lengt
     lane: a vehicle exactly side-by-side is not ahead, so the next one (or its
     image one lap ahead) counts, and it is infinite when that lane is empty.
     """
-    positions_ref, lanes, shape = _by_row(positions_ref, lanes)
-    rows, n = positions_ref.shape
-    wrapped = positions_ref % track_length
-    order = np.argsort(wrapped, axis=1, kind="stable")
-    row = np.arange(rows)[:, None]
-    x = wrapped[row, order]
-    lane = lanes[row, order]
-    ring = np.concatenate([lane, lane], axis=1)  # the sorted row, then its image a lap on
-    column = np.arange(1, 2 * n + 1)
-    # switch[r, c]: the first column after c in the other lane than c's (2n if none).
-    switch = np.full((rows, 2 * n), 2 * n)
-    switch[:, :-1] = np.where(ring[:, 1:] != ring[:, :-1], column[:-1], 2 * n)
-    switch = np.minimum.accumulate(switch[:, ::-1], axis=1)[:, ::-1]
-    # The in-lane leader is the next column of the same lane, at the latest
-    # the vehicle's own image n columns on.
-    after = column[:n]
-    leader = np.where(ring[:, 1 : n + 1] == lane, after, switch[:, 1 : n + 1])
-    own = np.concatenate([x, x + track_length], axis=1)[row, leader] - x
-    own[leader == after + n - 1] = track_length
-    # past[r, j]: the first column after j's run of equal positions.
-    past = after
-    tied = x[:, 1:] == x[:, :-1]
-    if tied.any():
-        past = np.full((rows, n), n)
-        past[:, :-1] = np.where(tied, n, column[: n - 1])
-        past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
-    nearest = np.where(ring[row, past] != lane, past, switch[row, past])
-    gap = (x[row, nearest % n] - x) % track_length
-    gap[gap == 0.0] = track_length
-    gap[nearest == 2 * n] = np.inf
-    return _unsort(own, row, order).reshape(shape), _unsort(gap, row, order).reshape(shape)
+    return tuple(_headways(positions_ref, lanes, track_length, ring, (_in_lane, _other_lane)))
 
 
-def own_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
-    """The in-lane half of :func:`perceived_headways`."""
-    return perceived_headways(positions_ref, lanes, track_length)[0]
+def own_headways(positions_ref, lanes, track_length: float, ring=None) -> np.ndarray:
+    """The in-lane half of :func:`perceived_headways`, computed alone."""
+    return _headways(positions_ref, lanes, track_length, ring, (_in_lane,))[0]
 
 
-def adjacent_headways(positions_ref: np.ndarray, lanes: np.ndarray, track_length: float) -> np.ndarray:
-    """The other-lane half of :func:`perceived_headways`."""
-    return perceived_headways(positions_ref, lanes, track_length)[1]
+def adjacent_headways(positions_ref, lanes, track_length: float, ring=None) -> np.ndarray:
+    """The other-lane half of :func:`perceived_headways`, computed alone."""
+    return _headways(positions_ref, lanes, track_length, ring, (_other_lane,))[0]
 
 
 def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
@@ -212,21 +283,34 @@ def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
     return phi, 1.0 - (1.0 - TWO_OVER_PI * np.arctan(phi)) ** dt
 
 
-def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams) -> bool:
+def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams, ring=None) -> bool:
     """True when no adjacent-lane vehicle sits within the closed interval
-    ``[x - d_min, x + d_min]`` around the vehicle (true positions of one run)."""
-    others = np.flatnonzero(state.lanes == 1 - state.lanes[vehicle])
-    if others.size == 0:
-        return True
-    length = p.track_length
-    x = state.positions[vehicle] % length
-    pos = state.positions[others] % length
-    forward = (pos - x) % length
-    backward = (x - pos) % length
-    return not bool(np.any((forward <= p.d_min) | (backward <= p.d_min)))
+    ``[x - d_min, x + d_min]`` around the vehicle (true positions of one run).
+
+    Only the vehicle's neighbours in the sorted ring of the true positions
+    (``ring``, one row, built here when not given) can be that near: the walk
+    goes forward, then backward, until the gap exceeds ``d_min``.  Gaps grow
+    along each walk, save for vehicles tied with this one, which sit at the
+    start of one walk and at the end of the other.
+    """
+    if ring is None:
+        ring = _Ring.of(state.positions.reshape(1, -1), p.track_length)
+    order, x = ring.order[0], ring.x[0]
+    n = len(order)
+    i = int(np.flatnonzero(order == vehicle)[0])
+    other = 1 - state.lanes[vehicle]
+    here, length = x[i], p.track_length
+    for step in (1, -1):
+        for k in range(1, n):
+            j = (i + step * k) % n
+            if (step * (x[j] - here)) % length > p.d_min:
+                break
+            if state.lanes[order[j]] == other:
+                return False
+    return True
 
 
-def _count_passes(prev_pos, new_pos, lanes, excluded, track_length) -> np.ndarray:
+def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -> np.ndarray:
     """Per-vehicle count of adjacent-lane vehicles that moved from behind
     (offset <= 0) to ahead (> 0) during the step, once per lap, row by row;
     excluded vehicles neither receive nor contribute events.
@@ -235,24 +319,23 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length) -> np.ndarra
     down through ``(-after, -before]``; every multiple of the track length in
     that interval is one pass.  A pair whose offset grows instead counts 0.
 
-    Only pairs whose wrapped distance at the step start is within the row's
-    largest relative move (plus :data:`PASS_MARGIN` of the track) can cross.
-    One sort per row finds them: the walk looks k = 1, 2, ... places ahead of
-    every vehicle in the sorted ring until no vehicle has a partner that near
-    k places on.  A pair near both ways round is kept once, and every kept
-    pair is counted in both directions.  A step that laps the ring widens the
-    window to every pair.
+    Only pairs whose wrapped distance at the step start is within their
+    row's largest relative move (plus :data:`PASS_MARGIN` of the track) can
+    cross.  The window is the largest over the rows: a wider one adds only
+    pairs that count 0.  One sort per row finds them (``ring``, that of
+    ``prev_pos``, when the caller has built it): the walk looks k = 1, 2, ...
+    places ahead of every vehicle in the sorted ring until no vehicle has a
+    partner that near k places on.  A pair near both ways round is kept once,
+    and every kept pair is counted in both directions.  A step that laps the
+    ring widens the window to every pair.
     """
     prev_pos, new_pos, lanes, excluded, shape = _by_row(prev_pos, new_pos, lanes, excluded)
     rows, n = prev_pos.shape
     move = new_pos - prev_pos
-    reach = move.max(axis=1) - move.min(axis=1) + PASS_MARGIN * track_length
-    reach = np.minimum(reach, track_length)[:, None]
-    wrapped = prev_pos % track_length
-    order = np.argsort(wrapped, axis=1)
-    row = np.arange(rows)[:, None]
-    x = wrapped[row, order]
-    ahead = np.concatenate([x, x + track_length], axis=1)  # the sorted ring, then one lap on
+    reach = min(move.max() - move.min() + PASS_MARGIN * track_length, track_length)
+    if ring is None:
+        ring = _Ring.of(prev_pos, track_length)
+    x, ahead, flat = ring.x, ring.ahead, ring.flat.ravel()
     # 0 or 1 by lane, 2 when excluded: a pair counts when its codes sum to 1.
     code = None
     found = []
@@ -261,7 +344,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length) -> np.ndarra
         if not near.any():
             break  # gaps only grow with k
         if code is None:
-            code = np.where(excluded, 2, lanes)[row, order]
+            code = ring.sort(np.where(excluded, 2, lanes))
             code = np.concatenate([code, code], axis=1)
         r, a = np.nonzero(near & (code[:, k : k + n] + code[:, :n] == 1))
         c = (a + k) % n
@@ -269,25 +352,31 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length) -> np.ndarra
             # Near both ways round too (c sees a n - k places on)?  Keep the
             # pair from the end with fewer places between, or from the lower
             # column when both have n / 2.
-            again = (ahead[r, c + n - k] - x[r, c] <= reach[r, 0]) & ((2 * k > n) | (c < a))
+            again = (ahead[r, c + n - k] - x[r, c] <= reach) & ((2 * k > n) | (c < a))
             r, a, c = r[~again], a[~again], c[~again]
-        found.append((r, order[r, a], order[r, c]))
+        found.append((flat[r * n + a], flat[r * n + c]))
     if not found:
         return np.zeros(shape, dtype=np.int64)
-    r, i, j = found[0] if len(found) == 1 else (np.concatenate(v) for v in zip(*found))
-    r, receivers, passers = np.concatenate([r, r]), np.concatenate([i, j]), np.concatenate([j, i])
+    i, j = found[0] if len(found) == 1 else (np.concatenate(v) for v in zip(*found))
+    receivers, passers = np.concatenate([i, j]), np.concatenate([j, i])  # flat indices
+    new_pos, prev_pos = new_pos.ravel(), prev_pos.ravel()
     crossed = ring_crossings(
-        new_pos[r, receivers] - new_pos[r, passers],
-        prev_pos[r, receivers] - prev_pos[r, passers],
+        new_pos[receivers] - new_pos[passers],
+        prev_pos[receivers] - prev_pos[passers],
         track_length,
     )
-    counts = np.bincount(r * n + receivers, weights=np.maximum(crossed, 0.0), minlength=rows * n)
+    counts = np.bincount(receivers, weights=np.maximum(crossed, 0.0), minlength=rows * n)
     return counts.astype(np.int64).reshape(shape)
 
 
-def _scan_order(positions, lanes, track_length) -> np.ndarray:
-    """Row by row, lane 0 by ascending wrapped position, then lane 1 likewise."""
-    return np.lexsort((positions % track_length, lanes), axis=-1)
+def _scan_order(ring: _Ring, lanes) -> np.ndarray:
+    """Row by row, lane 0 by ascending wrapped position, then lane 1 likewise.
+
+    A stable lane partition of the ring, so ties in position keep vehicle
+    order: exactly ``np.lexsort((positions % L, lanes))``.
+    """
+    partition = np.argsort(ring.sort(lanes), axis=1, kind="stable")
+    return ring.order.ravel()[partition + ring.base]
 
 
 @dataclass
@@ -305,6 +394,36 @@ class StepOutcome:
     changed: np.ndarray = None
 
 
+class _Draws:
+    """Each row's uniform variates, one per vehicle per step, drawn from the
+    row's own generator a block of steps at a time: ``g.random((B, N))``
+    yields the stream of ``B`` calls of ``g.random(N)``.  No block reaches
+    past the ``steps`` of the run, so each generator ends where per-step
+    draws would leave it."""
+
+    def __init__(self, rngs, n_vehicles: int, steps: int):
+        self.rngs = list(rngs)
+        self.n = n_vehicles
+        self.left = steps  # steps not yet drawn
+        self.block = np.empty((len(self.rngs), 0, n_vehicles))
+        self.used = 0
+
+    def next(self) -> np.ndarray:
+        """The next step's variates, ``(rows, N)``."""
+        if self.used == self.block.shape[1]:
+            size = max(1, min(self.left, VARIATE_BLOCK // self.n))
+            self.block = np.stack([g.random((size, self.n)) for g in self.rngs])
+            self.left -= size
+            self.used = 0
+        self.used += 1
+        return self.block[:, self.used - 1]
+
+    def select(self, rows) -> None:
+        """Keep only the given rows."""
+        self.block = self.block[rows]
+        self.rngs = [g for g, keep in zip(self.rngs, rows) if keep]
+
+
 def two_lane_step(
     state: TwoLaneState,
     hist: HistoryBuffer,
@@ -316,55 +435,62 @@ def two_lane_step(
     """Advance the two-lane system by one step, mutating ``state`` in place.
 
     ``rng`` holds one generator per row of a batch state (a bare generator
-    for one run); every row draws one variate per vehicle per step.
+    for one run); every row draws one variate per vehicle per step, assigned
+    to the vehicles in scan order.
 
     Stage 1 scans the vehicles in a fixed order, updating frustration from the
     perceived (delayed) headways and executing safe lane changes immediately,
     so later vehicles in the same step see the updated occupancy.  Stage 2
     checks true headways for collisions; a collision freezes its row before
     any movement.  Stage 3 advances the other rows from the perceived headways
-    in the current lane assignment.
+    in the current lane assignment.  One ring of the step-start positions
+    (and one of the delayed positions, under a delay) serves every stage.
     """
     length = p.track_length
     positions, lanes, phis0, pending, lambdas, shape = _by_row(
         state.positions, state.lanes, state.phis, state.pending_passes, state.lambdas
     )
     n = shape[-1]
-    ref_pos = hist.positions_at_delay().reshape(-1, n)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    if len(rngs) != len(positions):
-        raise ParameterError(f"{len(positions)} rows need as many generators, got {len(rngs)}")
+    if isinstance(rng, _Draws):
+        draws = rng
+    else:
+        draws = _Draws([rng] if isinstance(rng, np.random.Generator) else rng, n, 1)
+    if len(draws.rngs) != len(positions):
+        raise ParameterError(
+            f"{len(positions)} rows need as many generators, got {len(draws.rngs)}"
+        )
+    ring = _Ring.of(positions, length)
+    if hist.delay_steps == 0:
+        ref_pos, seen = positions, ring  # the perceived positions are the true ones
+    else:
+        ref_pos = hist.positions_at_delay().reshape(-1, n)
+        seen = _Ring.of(ref_pos, length)
 
-    def perceive(r):
-        own, adj = perceived_headways(ref_pos[r], lanes[r], length)
+    def perceive(r, seen_r):
+        own, adj = perceived_headways(ref_pos[r], lanes[r], length, ring=seen_r)
         return (own, *_frustration(phis0[r], own, adj, pending[r], lp, dt))
 
-    own, phis, prob = perceive(slice(None))
-    scan = _scan_order(positions, lanes, length)
-    u = np.empty_like(prob)
-    for r, generator in enumerate(rngs):
-        u[r, scan[r]] = generator.random(n)  # one variate per vehicle, assigned in scan order
+    own, phis, prob = perceive(slice(None), seen)
+    scan = _scan_order(ring, lanes)
+    draw = draws.next()  # one variate per vehicle, in scan order
+    attempted = draw < prob.ravel()[scan + ring.base]
 
     changed = np.zeros(positions.shape, dtype=bool)
-    events: list[list[LaneEvent]] = [[] for _ in rngs]
-    attempted = u < prob
-    for r in np.nonzero(attempted.any(axis=1))[0] if attempted.any() else ():
+    events: list[list[LaneEvent]] = [[] for _ in draws.rngs]
+    for r in np.flatnonzero(attempted.any(axis=1)) if attempted.any() else ():
         # Replay the row's scan sequentially: an executed change shifts the
-        # headways seen by every vehicle scanned after it.
+        # headways seen by every vehicle scanned after it, which then attempts
+        # with, and keeps, the frustration perceived after the change.
         row = state.rows(r) if len(shape) == 2 else state
-        own_r, phi_r, prob_r = own[r], phis[r], prob[r]
-        committed = np.empty(n)
-        rest = scan[r]
-        while rest.size:
-            attempts = np.nonzero(u[r, rest] < prob_r[rest])[0]
-            skipped = rest[: attempts[0]] if attempts.size else rest
-            committed[skipped] = phi_r[skipped]
-            if not attempts.size:
-                break
-            vehicle = rest[attempts[0]]
-            rest = rest[attempts[0] + 1 :]
-            if not safety_gap_check(row, vehicle, p):
-                committed[vehicle] = phi_r[vehicle]
+        near = ring.rows(r)
+        seen_r = near if seen is ring else seen.rows(r)
+        scan_r, committed = scan[r], phis[r]
+        hits = np.flatnonzero(attempted[r])
+        while hits.size:
+            i = hits[0]
+            vehicle = scan_r[i]
+            if not safety_gap_check(row, vehicle, p, ring=near):
+                hits = hits[1:]
                 continue
             origin = int(lanes[r, vehicle])
             events[r].append(
@@ -374,24 +500,25 @@ def two_lane_step(
                     kind="lane_change",
                     from_lane=origin,
                     to_lane=1 - origin,
-                    phi_before=float(phi_r[vehicle]),
+                    phi_before=float(committed[vehicle]),
                 )
             )
             lanes[r, vehicle] = 1 - origin
             changed[r, vehicle] = True
             committed[vehicle] = 0.0  # reset on a successful change
-            own_r, phi_r, prob_r = perceive(r)
-        own[r], phis[r] = own_r, committed
+            own[r], phi_r, prob_r = perceive(r, seen_r)
+            later = scan_r[i + 1 :]
+            committed[later] = phi_r[later]
+            hits = i + 1 + np.flatnonzero(draw[r, i + 1 :] < prob_r[later])
     state.phis = phis.reshape(shape)
     state.pending_passes = np.zeros(shape, dtype=np.int64)
 
     velocities = _velocity(own, lambdas, p)
-    # Without a delay the perceived positions are the true ones.
-    true_h = own if hist.delay_steps == 0 else own_headways(positions, lanes, length)
+    true_h = own if seen is ring else own_headways(positions, lanes, length, ring=ring)
     collided = closed(true_h, p)
     hit = collided.any()
     crashed = collided.any(axis=1) if hit else None
-    collisions: list[list[CollisionReport]] = [[] for _ in rngs]
+    collisions: list[list[CollisionReport]] = [[] for _ in draws.rngs]
     for r in np.nonzero(crashed)[0] if hit else ():
         collisions[r] = find_collisions(true_h[r], state.time, p)
         for report in collisions[r]:
@@ -429,7 +556,7 @@ def two_lane_step(
     hist.push(state.positions)
     state.time = round(state.time + dt, 12)
 
-    passes = _count_passes(positions, new_positions, lanes, excluded, length)
+    passes = _count_passes(positions, new_positions, lanes, excluded, length, ring=ring)
     if passes.any():
         state.pending_passes = passes.reshape(shape)
         for r, vehicle in zip(*np.nonzero(passes)):
@@ -495,14 +622,14 @@ def run_lockstep(
         )
     )
     hist = HistoryBuffer(state.positions, delay, dt)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = _Draws([np.random.default_rng(seed) for seed in seeds], base.n_vehicles, steps)
     consumer = sink(count, size, base.n_vehicles)
     live = np.arange(count)
     events: list[list[LaneEvent]] = [[] for _ in seeds]
     ends: list[RunEnd] = [None] * count
     k = 0
     for s in range(steps):
-        outcome = two_lane_step(state, hist, lp, p, dt, rngs)
+        outcome = two_lane_step(state, hist, lp, p, dt, draws)
         for i, row_events in enumerate(outcome.events):
             if row_events:
                 events[live[i]] += row_events
@@ -523,7 +650,7 @@ def run_lockstep(
                 )
             state = state.rows(survivors)
             hist.select(survivors)
-            rngs = [g for g, hit in zip(rngs, crashed) if not hit]
+            draws.select(survivors)
             live = live[survivors]
             if not live.size:
                 break

@@ -145,9 +145,10 @@ def growth_rate_from_record(record: TrajectoryRecord, vehicle: int = 0) -> Growt
 
 def lane_imbalance(lanes):
     """Absolute difference in vehicle counts between the two lanes, along the
-    last axis: an int for one fleet, an array for a stack of lane vectors."""
+    last axis: an int for one fleet, an array for a stack of lane vectors.
+    With lanes 0 and 1, it is ``|N - 2 * (vehicles in lane 1)|``."""
     lanes = np.asarray(lanes)
-    diff = np.abs(np.count_nonzero(lanes == 0, axis=-1) - np.count_nonzero(lanes == 1, axis=-1))
+    diff = np.abs(lanes.shape[-1] - 2 * lanes.sum(axis=-1, dtype=np.int64))
     return int(diff) if np.ndim(diff) == 0 else diff
 
 

@@ -1,6 +1,6 @@
 """Recompute the CSV digest table that CHANGES.md quotes for each change.
 
-Runs eleven CLI configurations of this checkout, each in a fresh interpreter
+Runs twelve CLI configurations of this checkout, each in a fresh interpreter
 with ``src/`` on ``PYTHONPATH``, into a temporary directory, and prints one
 line per run: its digest, its CSV count and its arguments.  The digest is the first 16 hex digits of the SHA-256 of
 what ``sha256sum`` prints for the run's CSVs in C-locale name order, that is
@@ -31,6 +31,7 @@ RUNS = [
     ["two-lane", "--set", "n_lane0=30", "--set", "n_lane1=20", "--set", "dt=0.05"],
     ["aggressive", "--set", "t_end=100", "--replicas", "4"],
     ["load-balance", "--set", "record_stride=3", "--set", "delta_flow=5.03"],
+    ["two-lane", "--set", "delay=0.75", "--set", "dt=0.05", "--set", "n_lane0=30", "--set", "n_lane1=20"],
 ]
 
 

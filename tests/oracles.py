@@ -3,14 +3,25 @@
 None of these run in a simulation or an artifact: the dense Jacobian and
 the all-branch characteristic roots cross-check the closed-form stability
 analysis, the pass count between two states wraps the step's counting
-kernel, and the frustration law is written out one vehicle at a time.
+kernel, the frustration law is written out one vehicle at a time, and the
+two-lane step is written out from the standalone kernels.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from ringtraffic.core import _velocity
 from ringtraffic.errors import NumericalError, ParameterError
-from ringtraffic.lane_change import _count_passes
+from ringtraffic.lane_change import (
+    TwoLaneState,
+    _count_passes,
+    _frustration,
+    own_headways,
+    perceived_headways,
+)
+from ringtraffic.records import LaneEvent
+from ringtraffic.single_lane import closed, find_collisions
 from ringtraffic.stability import lambert_w, scale_constant
 
 # Lambert-W branches whose characteristic roots are listed; the principal one
@@ -68,3 +79,97 @@ def frustration_law(phi, own, adj, passes, r, p, dt):
         phis.append(f)
         probs.append(1.0 - (1.0 - 2.0 / math.pi * math.atan(f)) ** dt)
     return np.array(phis), np.array(probs)
+
+
+def full_lane_gap_is_clear(positions, lanes, vehicle, p):
+    """The safety rule over every vehicle of the other lane: none within the
+    closed interval ``[x - d_min, x + d_min]`` around ``vehicle``."""
+    length = p.track_length
+    x = positions[vehicle] % length
+    others = positions[lanes == 1 - lanes[vehicle]] % length
+    forward = (others - x) % length
+    backward = (x - others) % length
+    return not np.any((forward <= p.d_min) | (backward <= p.d_min))
+
+
+@dataclass
+class ReferenceStep:
+    """What one reference step produced: the state after it, the velocities
+    of the move, and its events, collisions, changes and attempts."""
+
+    state: TwoLaneState
+    velocities: np.ndarray
+    events: list
+    collisions: list
+    changed: np.ndarray
+    attempts: int
+
+
+def reference_step(state, ref_positions, lp, p, dt, rng):
+    """One two-lane step of one run (``(N,)`` arrays), written vehicle by
+    vehicle from the standalone kernels, each sorting on its own: one
+    ``rng.random(N)`` draw handed out in ``np.lexsort`` scan order, a full
+    perception after every executed change, the safety rule over the whole
+    other lane and the pass count of the two states.  ``ref_positions`` are
+    the perceived (delayed) positions.  ``state`` is left as it was.
+    """
+    length = p.track_length
+    positions, lanes = state.positions, state.lanes.copy()
+    n = len(positions)
+    scan = np.lexsort((positions % length, lanes))
+    u = np.empty(n)
+    u[scan] = rng.random(n)
+
+    def perceive():
+        own, adj = perceived_headways(ref_positions, lanes, length)
+        return (own, *_frustration(state.phis, own, adj, state.pending_passes, lp, dt))
+
+    own, phis, prob = perceive()
+    committed = np.empty(n)
+    changed = np.zeros(n, dtype=bool)
+    events = []
+    attempts = 0
+    for vehicle in scan:
+        committed[vehicle] = phis[vehicle]
+        if not u[vehicle] < prob[vehicle]:
+            continue
+        attempts += 1
+        if not full_lane_gap_is_clear(positions, lanes, vehicle, p):
+            continue
+        origin = int(lanes[vehicle])
+        events.append(
+            LaneEvent(state.time, int(vehicle), "lane_change", origin, 1 - origin, float(phis[vehicle]))
+        )
+        lanes[vehicle] = 1 - origin
+        changed[vehicle] = True
+        committed[vehicle] = 0.0
+        own, phis, prob = perceive()
+
+    velocities = _velocity(own, state.lambdas, p)
+    true_h = own_headways(positions, lanes, length)
+    after = TwoLaneState(
+        positions=positions.copy(), lanes=lanes, phis=committed, lambdas=state.lambdas,
+        time=state.time,
+    )
+    collisions = []
+    if closed(true_h, p).any():
+        collisions = find_collisions(true_h, state.time, p)
+        for report in collisions:
+            lane = int(lanes[report.follower_index])
+            events.append(
+                LaneEvent(
+                    state.time, report.follower_index, "collision", lane, lane,
+                    float(committed[report.follower_index]),
+                )
+            )
+        return ReferenceStep(after, velocities, events, collisions, changed, attempts)
+
+    after.positions = positions + dt * velocities
+    after.time = round(state.time + dt, 12)
+    after.pending_passes = _count_passes(positions, after.positions, lanes, changed, length)
+    for vehicle in np.flatnonzero(after.pending_passes):
+        lane = int(lanes[vehicle])
+        events.append(
+            LaneEvent(after.time, int(vehicle), "pass", lane, lane, float(committed[vehicle]))
+        )
+    return ReferenceStep(after, velocities, events, collisions, changed, attempts)

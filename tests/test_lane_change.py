@@ -27,7 +27,7 @@ from ringtraffic.lane_change import (
 from ringtraffic.metrics import lane_imbalance_series
 from ringtraffic.single_lane import ring_crossings
 
-from oracles import detect_passes, frustration_law
+from oracles import detect_passes, frustration_law, full_lane_gap_is_clear, reference_step
 
 
 def make_state(positions0, positions1, p, phis=None, lambdas=None):
@@ -165,6 +165,26 @@ def test_safety_gap_closed_interval(table1_params):
 def test_safety_gap_wraps_around_origin(table1_params):
     state = make_state([999.0], [3.0], table1_params)  # 4 m ahead across the wrap
     assert not safety_gap_check(state, 0, table1_params)
+
+
+def test_safety_gap_walk_matches_the_full_lane_scan():
+    # Ties, laps, 1e-13 m twins and a 2.5 m grid, where gaps land exactly
+    # on d_min, each against the scan over the whole other lane.
+    rng = np.random.default_rng(5)
+    blocked = 0
+    for length in (100.0, 1000.0):
+        p = ModelParams(track_length=length)
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            positions, lanes = random_fleet(rng, 1, n, length)
+            if rng.random() < 0.3:
+                positions = 2.5 * rng.integers(-40, 40, (1, n))
+            state = TwoLaneState(positions[0], lanes[0], np.zeros(n), np.ones(n))
+            for vehicle in range(n):
+                expected = full_lane_gap_is_clear(state.positions, state.lanes, vehicle, p)
+                assert safety_gap_check(state, vehicle, p) == expected
+                blocked += not expected
+    assert blocked > 500
 
 
 def test_detect_passes_equal_velocities(table1_params):
@@ -562,6 +582,117 @@ def test_lockstep_rows_equal_runs_one_at_a_time(table1_params, stride):
     assert reasons[1] == ("collision", 4.75)
     assert reasons[7] == ("collision", 5.05)
     assert all(reasons[s] == ("completed", 60.0) for s in (2, 3, 4, 5, 6, 8))
+
+
+def side_by_side_fleet(p):
+    """25 vehicles per lane, 40 m apart, every other lane-1 vehicle exactly
+    beside one of lane 0 and the rest 20 m on; frustrated drivers, and
+    vehicle 0 at three times the rate."""
+    k = np.arange(25)
+    lambdas = np.full(50, p.lambda_rate)
+    lambdas[0] = 3.0
+    return TwoLaneState(
+        positions=np.concatenate([40.0 * k, 40.0 * k + np.where(k % 2 == 0, 0.0, 20.0)]),
+        lanes=np.repeat(np.array([0, 1], dtype=np.int8), 25),
+        phis=np.random.default_rng(0).uniform(0.0, 3.0, 50),
+        lambdas=lambdas,
+    )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.75])
+@pytest.mark.parametrize("seeds", [[5], [1, 2, 3, 4, 5, 6]], ids=["one-run", "batch"])
+def test_two_lane_step_matches_the_reference_step(table1_params, delay, seeds):
+    # Bit for bit against the step written out from the standalone kernels.
+    # Under the delay every row collides within 4.3 s (seed 5 first, at
+    # 0.8 s), and p = 1 makes several changes in one row's step.
+    p, dt, lp = table1_params, 0.05, LaneChangeParams(r=0.5, p=1.0)
+    one = side_by_side_fleet(p)
+    batch = len(seeds) > 1
+    arrays = (one.positions, one.lanes, one.phis, one.lambdas)
+    state = TwoLaneState(*(np.repeat(a[None], len(seeds), axis=0) for a in arrays)) if batch else one
+    hist = HistoryBuffer(state.positions, delay, dt)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    refs = [TwoLaneState(*(a.copy() for a in arrays)) for _ in seeds]
+    ref_hists = [HistoryBuffer(one.positions, delay, dt) for _ in seeds]
+    ref_rngs = [np.random.default_rng(seed) for seed in seeds]
+    live = list(range(len(seeds)))
+    most_changes = collided = 0
+    for _ in range(140):
+        outcome = two_lane_step(state, hist, lp, p, dt, rngs if batch else rngs[0])
+        crashed = []
+        for i, r in enumerate(live):
+            ref = reference_step(refs[r], ref_hists[r].positions_at_delay(), lp, p, dt, ref_rngs[r])
+            row = state.rows(i) if batch else state
+            at = i if batch else slice(None)
+            assert same_bits(outcome.positions_before[at], refs[r].positions)
+            assert same_bits(outcome.velocities[at], ref.velocities)
+            assert same_bits(outcome.changed[at], ref.changed)
+            assert (outcome.events[i] if batch else outcome.events) == ref.events
+            assert (outcome.collisions[i] if batch else outcome.collisions) == ref.collisions
+            for name in ("positions", "lanes", "phis", "pending_passes"):
+                assert same_bits(getattr(row, name), getattr(ref.state, name)), name
+            if not ref.collisions:
+                assert row.time == ref.state.time
+                ref_hists[r].push(ref.state.positions)
+            refs[r] = ref.state
+            most_changes = max(most_changes, int(ref.changed.sum()))
+            crashed.append(bool(ref.collisions))
+        collided += sum(crashed)
+        if any(crashed):
+            if not batch:
+                break
+            survivors = ~np.array(crashed)
+            state = state.rows(survivors)
+            hist.select(survivors)
+            rngs = [g for g, hit in zip(rngs, crashed) if not hit]
+            live = [r for r, hit in zip(live, crashed) if not hit]
+            if not live:
+                break
+    assert most_changes >= 2
+    assert collided == (len(seeds) if delay else 0)
+
+
+def test_tracer_counters_read_the_step_truthfully(table1_params, monkeypatch):
+    # The benchmark's tracer counts lane_change.changes from True results of
+    # safety_gap_check, its calls as attempts, and lane_change.passes from
+    # the sum of _count_passes results.
+    from ringtraffic import lane_change
+
+    def record(name):
+        """Wrap the step's callee ``name``; return the list of its results."""
+        original, results = getattr(lane_change, name), []
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(lane_change, name, recorded)
+        return results
+
+    checks, passes, scans = map(record, ("safety_gap_check", "_count_passes", "_scan_order"))
+    p, dt, lp = table1_params, 0.05, LaneChangeParams(r=0.1, p=0.2)
+    seeds, steps = [11, 12, 13], 300
+    _, ends = run_lockstep(p, lp, seeds, n_lane0=50, dt=dt, t_end=steps * dt, sink=_Samples)
+    events = [e for end in ends for e in end.events]
+    attempts = 0
+    for seed, end in zip(seeds, ends):
+        # The reference draws each step's variates on their own, the lockstep
+        # run in blocks of steps: the events must not tell them apart.
+        state, g, ref_events = init_two_lane(p, 50), np.random.default_rng(seed), []
+        for _ in range(steps):
+            step = reference_step(state, state.positions, lp, p, dt, g)
+            attempts += step.attempts
+            ref_events += step.events
+            state = step.state
+        assert end.events == ref_events
+    assert len(scans) == steps
+    assert len(checks) == attempts > sum(checks) > 0
+    assert sum(checks) == sum(e.kind == "lane_change" for e in events)
+    assert sum(int(c.sum()) for c in passes) == sum(e.kind == "pass" for e in events) > 0
 
 
 def test_lane_change_params_validation():
