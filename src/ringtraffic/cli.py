@@ -34,14 +34,14 @@ from .errors import (
 )
 from .lane_change import LaneChangeParams, run_lockstep, run_two_lane
 from .metrics import (
+    _flows,
     aggregate_monte_carlo,
     flow_field,
-    flow_series,
     growth_rate_from_record,
     lane_change_count_series,
     lane_imbalance,
 )
-from .records import TERMINATED_COLLISION, TERMINATED_COMPLETED, TrajectoryRecord, write_events_csv
+from .records import TERMINATED_COLLISION, write_events_csv
 # Under its own name, per-layer tracing times the CLI's tables apart from trajectories.
 from .records import write_csv as _write_csv
 from .single_lane import run_single_lane
@@ -211,77 +211,55 @@ def _run_tau_curve(cfg: ScenarioConfig, out: Path, workers: int):
     return [path.name], [], {"tau_s": {str(n): tau for n, tau in zip(cfg["n_list"], taus)}}
 
 
-class _FlowWindow:
-    """Flow at one detector over ``(t - delta, t]`` at every sample with
-    ``t >= delta``, from ``flow_series`` on a rolling record of the last
-    samples: it holds at least ``ceil(delta / spacing) + 2`` of them, enough
-    for every window, and is evaluated a block of samples at a time."""
-
-    def __init__(self, cfg: ScenarioConfig, n_vehicles: int, x: float):
-        self.cfg, self.x, self.delta = cfg, x, cfg["delta_flow"]
-        self.keep = math.ceil(self.delta / (cfg["dt"] * cfg["record_stride"])) + 2
-        self.times = np.empty(2 * self.keep)
-        self.positions = np.empty((2 * self.keep, n_vehicles))
-        self.velocities = np.empty((2 * self.keep, n_vehicles))
-        self.held = 0  # samples in the window
-        self.done = 0  # held samples already evaluated
-        self.flow_times, self.flows = [np.empty(0)], [np.empty(0)]
-
-    def add(self, t, positions, velocities) -> None:
-        if self.held == self.times.size:
-            self._evaluate()
-            for series in (self.times, self.positions, self.velocities):
-                series[: self.keep] = series[-self.keep :]
-            self.held = self.done = self.keep
-        k = self.held
-        self.times[k], self.positions[k], self.velocities[k] = t, positions, velocities
-        self.held += 1
-
-    def _evaluate(self) -> None:
-        times = self.times[self.done : self.held]
-        due = times[times >= self.delta]
-        if due.size:
-            window = TrajectoryRecord(
-                times=self.times[: self.held],
-                positions=self.positions[: self.held],
-                velocities=self.velocities[: self.held],
-                params=self.cfg.params,
-                delay=self.cfg["delay"],
-                dt=self.cfg["dt"],
-                termination_reason=TERMINATED_COMPLETED,
-                termination_time=float(self.times[self.held - 1]),
-            )
-            self.flow_times.append(due)
-            self.flows.append(flow_series(window, self.x, due, self.delta))
-        self.done = self.held
-
-    def table(self) -> list:
-        """The time column and the flow column of every sample seen."""
-        self._evaluate()
-        return [np.concatenate(self.flow_times), np.concatenate(self.flows)]
-
-
 class _LoadBalanceTables:
     """Per-sample reduction of load-balance rows: lane imbalance and the flow
-    at half the track."""
+    at half the track over ``(t - delta, t]`` at every sample ``t >= delta``.
+
+    Flows are counted from one window of every row's last ``2 keep``
+    positions, ``keep`` samples covering any flow window.  The rows of one
+    ``sample`` call share their time history: when their window is full they
+    are counted together and it rolls by ``keep``.  A row's remaining samples
+    are counted when its tables are taken.
+    """
 
     def __init__(self, cfg: ScenarioConfig, rows: int, size: int, n_vehicles: int):
+        self.delta, self.length = cfg["delta_flow"], cfg.params.track_length
+        self.x = np.array([self.length / 2.0])
+        self.keep = math.ceil(self.delta / (cfg["dt"] * cfg["record_stride"])) + 2
         self.times = np.empty((rows, size))
         self.imbalance = np.empty((rows, size), dtype=np.int64)
-        x = cfg.params.track_length / 2.0
-        self.flows = [_FlowWindow(cfg, n_vehicles, x) for _ in range(rows)]
+        self.flow = np.empty((rows, size))
+        self.window = np.empty((2 * self.keep, rows, n_vehicles))
+        self.offset = np.zeros(rows, dtype=np.int64)  # the sample in window slot 0
+        self.done = np.zeros(rows, dtype=np.int64)  # samples whose flow is counted
 
     def sample(self, rows, k, t, positions, velocities, lanes, phis):
         self.times[rows, k] = t
         self.imbalance[rows, k] = lane_imbalance(lanes)
-        for i, r in enumerate(rows):
-            self.flows[r].add(t, positions[i], velocities[i])
+        if k - self.offset[rows[0]] == len(self.window):
+            self._count(rows, k)
+            self.window[: self.keep, rows] = self.window[self.keep :, rows]
+            self.offset[rows] += self.keep
+        self.window[k - self.offset[rows[0]], rows] = positions
+
+    def _count(self, rows, end: int) -> None:
+        """Count the flows of samples ``done..end`` of rows that share them."""
+        r = rows[0]
+        start, done = self.offset[r], self.done[r]
+        due = self.times[r, done + np.searchsorted(self.times[r, done:end], self.delta) : end]
+        window = self.window[: end - start, rows]
+        q = _flows(self.times[r, start:end], window, self.length, due, self.x, self.delta)
+        self.flow[rows, end - due.size : end] = q[:, 0].T
+        self.done[rows] = end
 
     def tables(self, r: int, end) -> dict:
         k = end.samples
+        self._count([r], k)
+        times = self.times[r, :k]
+        due = np.searchsorted(times, self.delta)
         return {
-            "replica": [self.times[r, :k], self.imbalance[r, :k]],
-            "flow": self.flows[r].table(),
+            "replica": [times, self.imbalance[r, :k]],
+            "flow": [times[due:], self.flow[r, due:k]],
         }
 
 

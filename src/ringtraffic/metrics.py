@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import velocity_from_headway
 from .errors import InsufficientDataError, ParameterError, RangeError, ShapeError
-from .records import TrajectoryRecord
+from .records import TrajectoryRecord, _interpolate
 from .single_lane import ring_crossings
 from .stability import rightmost_roots
 
@@ -59,7 +59,9 @@ def flow_field(record: TrajectoryRecord, times, positions, delta: float) -> Flow
     its unwrapped trajectory passes inside ``(t-delta, t]``, which stays exact
     when it laps the ring several times inside the window.  Blocks of time
     rows are evaluated at once, as ``(times, positions, vehicles)`` arrays of
-    about ``FLOW_BLOCK`` elements.
+    about ``FLOW_BLOCK`` elements.  A record of ``(S, ..., N)`` positions,
+    leading row axes before the vehicles, gives ``q`` of shape
+    ``(len(times), len(positions), ...)``: each row's own flow.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -75,15 +77,22 @@ def flow_field(record: TrajectoryRecord, times, positions, delta: float) -> Flow
             f"windows of {delta} s ending at {times} not covered by the record "
             f"[{record.times[0]}, {record.times[-1]}]"
         )
-    x = positions[:, None]
-    q = np.empty((times.size, positions.size))
-    rows = max(1, FLOW_BLOCK // max(1, positions.size * record.n_vehicles))
+    q = _flows(record.times, record.positions, length, times, positions, delta)
+    return FlowField(times=times, positions=positions, q=q, delta=delta)
+
+
+def _flows(sample_times, samples, length: float, times, positions, delta: float) -> np.ndarray:
+    """The counts of :func:`flow_field` from ``samples`` of shape
+    ``(S, ..., N)`` taken at ``sample_times``, which must cover every window."""
+    x = positions.reshape(positions.shape + (1,) * (samples.ndim - 1))
+    q = np.empty((times.size, positions.size, *samples.shape[1:-1]))
+    rows = max(1, FLOW_BLOCK // max(1, positions.size * samples[0].size))
     for i in range(0, times.size, rows):
         t = times[i : i + rows]
-        start = record.positions_at(t - delta)[:, None] - x
-        end = record.positions_at(t)[:, None] - x
+        start = _interpolate(sample_times, samples, t - delta)[:, None] - x
+        end = _interpolate(sample_times, samples, t)[:, None] - x
         q[i : i + rows] = ring_crossings(start, end, length).sum(axis=-1) / delta
-    return FlowField(times=times, positions=positions, q=q, delta=delta)
+    return q
 
 
 def windowed_amplitudes(velocities, v_eq: float, dt: float, window: float) -> np.ndarray:

@@ -60,23 +60,19 @@ class TrajectoryRecord:
 
     @property
     def n_vehicles(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     def vehicle_velocity(self, vehicle: int) -> np.ndarray:
         return self.velocities[:, vehicle]
 
     def positions_at(self, t) -> np.ndarray:
         """Linearly interpolated unwrapped positions of all vehicles at ``t``:
-        ``(N,)`` for one time, one row per time for an array of times."""
+        a sample's shape, ``(N,)`` or ``(..., N)``, per time, stacked for an array of times."""
         times = self.times
         t = np.asarray(t, dtype=float)
         if not np.all((times[0] <= t) & (t <= times[-1])):  # NaN fails too
             raise RangeError(f"t={t!r} outside recorded range [{times[0]}, {times[-1]}]")
-        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-        span = times[i + 1] - times[i]
-        # times[i] <= t, so a zero span (divided as inf) gives w = 0.
-        w = ((t - times[i]) / np.where(span == 0, np.inf, span))[..., None]
-        return (1.0 - w) * self.positions[i] + w * self.positions[i + 1]
+        return _interpolate(times, self.positions, t)
 
     def metadata_lines(self, extra: dict | None = None) -> list[str]:
         p = self.params
@@ -105,6 +101,18 @@ class TrajectoryRecord:
             columns += ["lane", "phi"]
             values += [self.lanes, self.phis]
         write_csv(path, self.metadata_lines(extra_metadata), columns, values)
+
+
+def _interpolate(times, positions, t) -> np.ndarray:
+    """``positions`` of shape ``(S, ..., N)``, sampled at the ascending
+    ``times``, linearly interpolated at each ``t`` in their range: one
+    ``(..., N)`` block per time."""
+    i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    span = times[i + 1] - times[i]
+    # times[i] <= t, so a zero span (divided as inf) gives w = 0.
+    w = (t - times[i]) / np.where(span == 0, np.inf, span)
+    w = w.reshape(w.shape + (1,) * (positions.ndim - 1))
+    return (1.0 - w) * positions[i] + w * positions[i + 1]
 
 
 # Values of each full-shape column formatted per block.  A block's numpy

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from ringtraffic.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
     EXIT_OK,
-    _FlowWindow,
+    _LoadBalanceTables,
     _meta_lines,
     config_hash,
     exit_status,
@@ -551,27 +553,87 @@ def test_manifest_records_the_processes_that_ran(tmp_path, monkeypatch, pool_siz
     assert json.loads((tmp_path / "lb" / "manifest.json").read_text())["workers"] == 3
 
 
+@pytest.fixture(scope="module")
+def load_balance_records():
+    """Three seeds of the load-balance defaults, 601 steps, every step sampled."""
+    cfg = load_config(kind="load-balance", overrides=["t_end=30.05"])
+    return [
+        run_two_lane(
+            cfg.params, LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=seed), n_lane0=50,
+            dt=cfg["dt"], t_end=cfg["t_end"],
+        )
+        for seed in (3, 4, 5)
+    ]
+
+
+def feed_like_lockstep(sink, records, stride, stop, stopped):
+    """Feed ``records``, sampled at every step, to ``sink`` as run_lockstep
+    would at ``stride``, with rows ``stopped`` dropping out after a last
+    sample of their own at step ``stop``; returns each row's sampled steps."""
+    last = records[0].times.size - 1
+    taken = [[] for _ in records]
+
+    def feed(rows, k, step):
+        for r in rows:
+            taken[r].append(step)
+        sink.sample(
+            np.array(rows), k, records[0].times[step],
+            np.stack([records[r].positions[step] for r in rows]), None,
+            np.stack([records[r].lanes[step] for r in rows]), None,
+        )
+
+    live, k = list(range(len(records))), 0
+    for step in range(last + 1):
+        sampled = step % stride == 0 or step == last
+        if step == stop:
+            feed(stopped, k, step)
+            live = [r for r in live if r not in stopped]
+        if sampled:
+            feed(live, k, step)
+        k += sampled
+    return taken
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_rolling_flow_window_equals_the_whole_record(stride):
-    # 601 steps: at strides 2 and 3 the final sample comes early.  Every
-    # evaluated block ends on a sample, where positions_at clamps.
-    cfg = load_config(kind="load-balance", overrides=[f"record_stride={stride}", "t_end=30.05"])
-    p = cfg.params
-    record = run_two_lane(
-        p, LaneChangeParams(r=cfg["r"], p=cfg["p"], rng_seed=3), n_lane0=50,
-        dt=cfg["dt"], t_end=cfg["t_end"], record_stride=stride,
-    )
-    x = p.track_length / 2.0
+def test_rolling_flow_window_equals_the_whole_record(load_balance_records, stride, monkeypatch):
+    # The sink sees a sample at every stride-th of the 601 steps and one of
+    # the final state, which comes early at strides 2 and 3.  Rows 0 and 2
+    # stop after a last sample of their own at step 431, as collided rows do.
+    # At strides 2 and 3 that step is off-stride: row 1 never sees its time
+    # and takes the same sample index at a later step.  At stride 3 that index
+    # fills the window, so the stopped rows are counted and rolled in a call
+    # of their own.  Every counted block ends on a sample, where positions_at
+    # clamps.  Motion over one step is nearly linear, so a window one sample
+    # short would extrapolate to the same counts: its cover is checked apart.
+    import ringtraffic.cli as cli
+
+    def covered(sample_times, samples, length, times, positions, delta):
+        assert times.size == 0 or sample_times[0] <= times[0] - delta
+        return flows(sample_times, samples, length, times, positions, delta)
+
+    flows = cli._flows
+    monkeypatch.setattr(cli, "_flows", covered)
+    records = load_balance_records
+    x = records[0].params.track_length / 2.0
     for delta in (5.0, 5.03, 4.99):
-        window = _FlowWindow(load_config(kind="load-balance", overrides=[
+        cfg = load_config(kind="load-balance", overrides=[
             f"record_stride={stride}", "t_end=30.05", f"delta_flow={delta}",
-        ]), record.n_vehicles, x)
-        for t, positions, velocities in zip(record.times, record.positions, record.velocities):
-            window.add(t, positions, velocities)
-        times, flows = window.table()
-        due = record.times[record.times >= delta]
-        assert times.tobytes() == due.tobytes()
-        assert flows.tobytes() == flow_series(record, x, due, delta).tobytes()
+        ])
+        size = -(-(records[0].times.size - 1) // stride) + 1
+        sink = _LoadBalanceTables(cfg, len(records), size, records[0].n_vehicles)
+        taken = feed_like_lockstep(sink, records, stride, 431, [0, 2])
+        assert len(taken[0]) == len(taken[2]) < len(taken[1]) == size
+        for r, steps in enumerate(taken):
+            record = dataclasses.replace(records[r], **{
+                name: getattr(records[r], name)[steps]
+                for name in ("times", "positions", "velocities", "lanes", "phis")
+            })
+            tables = sink.tables(r, SimpleNamespace(samples=len(steps)))
+            due = record.times[record.times >= delta]
+            assert tables["replica"][0].tobytes() == record.times.tobytes()
+            assert tables["replica"][1].tobytes() == lane_imbalance_series(record).tobytes()
+            assert tables["flow"][0].tobytes() == due.tobytes()
+            assert tables["flow"][1].tobytes() == flow_series(record, x, due, delta).tobytes()
 
 
 def test_manifest_lists_only_the_seeds_used(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,28 @@ def test_flow_field_over_a_grid_of_many_blocks(flow_records):
     assert times.size * positions.size * record.n_vehicles > 10 * metrics.FLOW_BLOCK
     expected = oracle_flow(record, times, positions, 5.0)
     assert flow_field(record, times, positions, 5.0).q.tobytes() == expected.tobytes()
+
+
+def test_flow_field_of_stacked_rows_equals_the_per_row_calls(table1_params, monkeypatch):
+    # Three perturbations of one run share its sample times; stacked as
+    # (S, R, N) positions, each row's flow is its own 2-D record's, bit for bit.
+    rows = [
+        run_single_lane(table1_params, 50, 0.75, 0.05, 40.0, perturbation=(v, d))
+        for v, d in ((0, 1.0), (7, 2.0), (20, 0.5))
+    ]
+    stacked = dataclasses.replace(
+        rows[0],
+        positions=np.stack([r.positions for r in rows], axis=1),
+        velocities=np.stack([r.velocities for r in rows], axis=1),
+    )
+    times = np.concatenate([np.linspace(5.03, 40.0, 97), rows[0].times[rows[0].times >= 5.03]])
+    positions = np.array([0.0, 1e-9, 370.0, 500.0, 1000.0 - 1e-9])
+    expected = np.stack([flow_field(r, times, positions, 5.03).q for r in rows], axis=-1)
+    assert stacked.n_vehicles == 50
+    assert stacked.positions_at(times).shape == (times.size, 3, 50)
+    assert flow_field(stacked, times, positions, 5.03).q.tobytes() == expected.tobytes()
+    monkeypatch.setattr(metrics, "FLOW_BLOCK", positions.size * 3 * 50)  # one time row per block
+    assert flow_field(stacked, times, positions, 5.03).q.tobytes() == expected.tobytes()
 
 
 def test_positions_at_an_array_of_times_stacks_the_scalar_calls(flow_records):
