@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,32 @@ def fundamental_diagram_summary(p: ModelParams) -> FundamentalDiagramSummary:
     ``q* = lambda_rate / s``.  The jam density is exactly ``1/d_min``.
     """
     a = p.lambda_rate / p.v_max
-    s = float(-lambertw(-math.exp(-(1.0 + a * p.d_min)), -1).real)
+    s = -_lambert_w_minus1(-math.exp(-(1.0 + a * p.d_min)))
     return FundamentalDiagramSummary(
         q_star=p.lambda_rate / s, rho_star=a / (s - 1.0), rho_jam=p.rho_jam
     )
+
+
+def _lambert_w_minus1(x: float) -> float:
+    """Lower real branch W_-1 of ``x`` in (-1/e, 0): the root of ``w exp(w) = x``
+    below -1.
+
+    Halley steps from the branch-point series ``-1 - p - p^2/3 - 11 p^3/72``,
+    ``p = sqrt(2 (1 + e x))``, until a step is below 1e-8 of ``w``; convergence
+    is cubic, so the last step leaves an error far below the rounding.  An
+    ``x`` that is not inside the interval after rounding raises
+    ``ParameterError``.
+    """
+    p_squared = 2.0 * (1.0 + math.e * x)
+    if not (p_squared > 0.0 and x < 0.0):
+        raise ParameterError(f"W_-1 needs x in (-1/e, 0), got {x!r}")
+    p = math.sqrt(p_squared)
+    w = -1.0 - p * (1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0)))
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):
+            return w
+    raise NumericalError(f"Lambert W_-1 failed to converge at {x!r}")

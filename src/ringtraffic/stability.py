@@ -14,14 +14,17 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw as _scipy_lambertw
 
 from .core import ModelParams
 from .errors import NumericalError, ParameterError
 
 _RESIDUAL_TOL = 1e-10
-_HALLEY_TOL = 1e-13
+_HALLEY_MIN_ITER = 3  # steps before the residual checks may stop the iteration
 _HALLEY_MAX_ITER = 100
+_INV_E = math.exp(-1.0)
+# Within 1e-13 of z = -1/e a computed W is off by up to about 1e-7, which is
+# as far as the branches W_0, W_-1 and W_1 are apart there.
+_BRANCH_POINT_RADIUS = 1e-6
 
 
 def scale_constant(n_vehicles: int, p: ModelParams) -> float:
@@ -55,51 +58,96 @@ class StabilityVerdict:
     stable: bool
 
 
-def _halley(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Halley iteration for ``w * exp(w) = z`` from the given seeds."""
-    active = np.abs(w * np.exp(w) - z) > 0.0
-    for _ in range(_HALLEY_MAX_ITER):
-        if not np.any(active):
-            break
-        wa = w[active]
-        za = z[active]
-        ew = np.exp(wa)
-        f = wa * ew - za
-        wp1 = wa + 1.0
-        wp1 = np.where(wp1 == 0, 1e-300, wp1)  # exact branch-point hit
-        dw = f / (ew * wp1 - (wa + 2.0) * f / (2.0 * wp1))
-        wa = wa - dw
-        w[active] = wa
-        idx = np.flatnonzero(active)
-        active[idx] = np.abs(dw) > _HALLEY_TOL * (1.0 + np.abs(wa))
+def _seed(z: np.ndarray) -> np.ndarray:
+    """Principal-branch starting values, from the regions of scipy's
+    ``lambertw``: the branch-point series within 0.3 of -1/e, else the (3, 2)
+    Pade approximant about 0 in a box around it, else the asymptotic form
+    ``L1 - L2 + L2/L1`` (``L1 = log z``, ``L2 = log L1``)."""
+    w = np.empty_like(z)
+    re, im = z.real, np.abs(z.imag)
+    near_zero = (re < 1.5) & (im < 1.0) & (re > np.maximum(-1.0, -2.5 * im - 0.2))
+    far = ~near_zero
+    l1 = np.log(z[far])
+    l2 = np.log(l1)
+    w[far] = l1 - l2 + l2 / l1
+    x = z[near_zero]
+    w[near_zero] = x * (60.0 + x * (114.0 + 17.0 * x)) / (60.0 + x * (174.0 + 101.0 * x))
+    from_branch_point = z + _INV_E
+    at_branch_point = np.abs(from_branch_point) < 0.3
+    if at_branch_point.any():  # rarely, for the ring's mode arguments
+        p = np.sqrt((2.0 * math.e) * from_branch_point[at_branch_point])
+        w[at_branch_point] = p * (1.0 - p / 3.0) - 1.0
     return w
 
 
-def lambert_w(z, branch: int = 0):
-    """Branch ``branch`` of the complex Lambert W function, ``w * exp(w) = z``.
+def _on_principal_branch(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Whether each root ``w`` of ``w exp(w) = z`` lies in the range of W_0.
 
-    ``scipy.special.lambertw`` picks the sheet; a Halley polish then brings
-    every element to the defining equation.  The polish is needed at and just
-    above the branch point -1/e, where scipy returns NaN (seeded here as the
-    branch-point value -1) or, on branch -1, is off by up to about 1e-4.  Every
-    element is verified against the defining equation before being returned;
-    a NaN fails the check.  Scalars in, scalar out.
+    That range (Corless et al., Adv. Comput. Math. 5, 1996) is
+    ``|Im w| < pi`` with ``Re w >= -Im w cot(Im w)``, and ``Re w >= -1`` on the
+    real axis.  For ``0 < |Im w| < pi``, ``Im(w exp(w))`` is the product of
+    ``Im w``, ``Re w + Im w cot(Im w)`` and a positive factor, so the edge
+    condition says that ``Im w`` and ``Im z`` share a sign.  It is tested in
+    that form, on the exact ``z``: values for ``z`` on the cut lie on the edge
+    itself, where ``-Im w cot(Im w)`` is only known to rounding.  On the cut
+    (``Im z = 0``, ``z < -1/e``) the upper value counts as principal.  Within
+    ``_BRANCH_POINT_RADIUS`` of the branch point -1 all branches meet and a
+    computed value's side is not known, so such values pass.
+    """
+    eta = w.imag
+    principal = np.where(
+        eta == 0.0, w.real >= -1.0, (np.abs(eta) < np.pi) & ((eta > 0.0) == (z.imag >= 0.0))
+    )
+    if not principal.all():
+        principal |= np.abs(w + 1.0) <= _BRANCH_POINT_RADIUS
+    return principal
+
+
+def lambert_w(z):
+    """Principal branch W_0 of the complex Lambert W function, ``w * exp(w) = z``.
+
+    Halley steps on ``f = w - z exp(-w)`` from :func:`_seed`.  From the third
+    step on, the iteration stops as soon as every element passes both residual
+    checks: the defining equation, ``|w exp(w) - z| = |f| / |exp(-w)|``, and
+    ``|f| <= 1e-10 |z|``, under which the characteristic root ``w / tau`` of
+    :func:`rightmost_roots` passes its check at every delay ``tau``.  Every
+    value must then pass the branch test of :func:`_on_principal_branch`.  Real
+    ``z < -1/e`` take the upper value.  A NaN, or any element that does not
+    converge or leaves the branch, raises ``NumericalError``.  Scalars in,
+    scalar out.
     """
     scalar = np.ndim(z) == 0
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if branch != 0 and np.any(z_arr == 0):
-        raise ParameterError(f"Lambert W branch {branch} is undefined at z=0")
-    w = _scipy_lambertw(z_arr, branch)
-    w[np.isnan(w)] = -1.0
-    w = _halley(w, z_arr)
-    _verify(np.abs(w * np.exp(w) - z_arr), z_arr, f"Lambert W branch {branch}")
+    # + 0.0 turns an imaginary -0.0 into +0.0: real z on the cut take the upper value
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex)) + 0.0
+    w = _seed(z_arr)
+    abs_z = np.abs(z_arr)
+    lambert_tol = _RESIDUAL_TOL * np.maximum(1.0, abs_z)
+    root_tol = _RESIDUAL_TOL * abs_z
+    for step in range(_HALLEY_MAX_ITER):
+        e = np.exp(-w)
+        f = w - z_arr * e
+        if step >= _HALLEY_MIN_ITER:
+            abs_f = np.abs(f)
+            if (abs_f <= root_tol).all() and (abs_f <= lambert_tol * np.abs(e)).all():
+                break
+        wp1 = w + 1.0
+        wp1 += 1e-300  # changes only an exact hit of the branch point, 0 into 1e-300
+        w = w - f / (wp1 - (wp1 + 1.0) * f / (wp1 + wp1))
+    else:
+        bad = int(np.argmin((abs_f <= root_tol) & (abs_f <= lambert_tol * np.abs(e))))
+        raise NumericalError(f"Lambert W failed to converge at {complex(z_arr[bad])!r}")
+    principal = _on_principal_branch(w, z_arr)
+    if not principal.all():
+        bad = int(np.argmin(principal))
+        raise NumericalError(
+            f"Lambert W left the principal branch at {complex(z_arr[bad])!r}: {complex(w[bad])!r}"
+        )
     return complex(w[0]) if scalar else w
 
 
 def _verify(residual: np.ndarray, inputs, what: str) -> None:
     """Raise unless every residual is below the relative tolerance; a NaN fails."""
-    inputs = np.broadcast_to(inputs, residual.shape)
-    if not np.all(residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(inputs))):
+    if not (residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(inputs))).all():
         worst = int(np.argmax(residual))  # the first NaN, if any
         raise NumericalError(
             f"{what} failed at {complex(inputs[worst])!r} (residual {residual[worst]:.3e})"
@@ -111,21 +159,25 @@ def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray
 
     The principal Lambert-W branch holds the rightmost root of every mode
     (Shinozaki & Mori, Automatica 42, 2006), so one verified branch call
-    suffices; for zero delay the roots are the eigenvalues themselves.
+    suffices; for zero delay the roots are the eigenvalues themselves.  Modes
+    k and N-k have conjugate eigenvalues and so conjugate roots: the roots of
+    k = 1..N/2 are computed and checked, and the rest mirror them.
     """
     if not (math.isfinite(delay) and delay >= 0):
         raise ParameterError(f"delay must be nonnegative, got {delay!r}")
     eigs = closed_form_eigenvalues(n_vehicles, p)
     if delay == 0:
         return eigs
-    lam = lambert_w(eigs * delay, 0) / delay
-    _verify(np.abs(lam - eigs * np.exp(-lam * delay)), eigs, "characteristic root")
-    return lam
+    half = eigs[: n_vehicles // 2]
+    w = lambert_w(half * delay)
+    lam = w / delay
+    _verify(np.abs(lam - half * np.exp(-w)), half, "characteristic root")
+    return np.concatenate([lam, lam[: (n_vehicles - 1) // 2][::-1].conj()])
 
 
 def max_growth_rate(n_vehicles: int, delay: float, p: ModelParams) -> StabilityVerdict:
     """Maximal real part of the characteristic roots over all modes."""
-    best = float(np.max(rightmost_roots(n_vehicles, delay, p).real))
+    best = float(rightmost_roots(n_vehicles, delay, p).real.max())
     return StabilityVerdict(max_real_part=best, stable=best < 0)
 
 

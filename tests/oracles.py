@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from ringtraffic.core import _velocity
 from ringtraffic.errors import NumericalError, ParameterError
@@ -22,7 +23,7 @@ from ringtraffic.lane_change import (
 )
 from ringtraffic.records import LaneEvent
 from ringtraffic.single_lane import closed, find_collisions
-from ringtraffic.stability import lambert_w, scale_constant
+from ringtraffic.stability import scale_constant
 
 # Lambert-W branches whose characteristic roots are listed; the principal one
 # holds the rightmost root.
@@ -45,13 +46,14 @@ def characteristic_roots(eigenvalue, delay):
     """Roots of ``lam = d * exp(-lam * delay)`` for one Jacobian eigenvalue ``d``.
 
     For zero delay the single root is ``d`` itself; otherwise one root per
-    Lambert-W branch in :data:`BRANCHES`, each verified to satisfy the
-    defining equation to a relative residual below 1e-10 (a NaN fails).
+    ``scipy.special.lambertw`` branch in :data:`BRANCHES`, each verified to
+    satisfy the defining equation to a relative residual below 1e-10 (a NaN
+    fails).
     """
     d = complex(eigenvalue)
     if delay == 0:
         return np.array([d])
-    roots = np.array([lambert_w(d * delay, b) for b in BRANCHES]) / delay
+    roots = np.array([lambertw(d * delay, b) for b in BRANCHES]) / delay
     residual = np.abs(roots - d * np.exp(-roots * delay))
     if not np.all(residual <= 1e-10 * max(1.0, abs(d))):
         raise NumericalError(f"characteristic root failed at {d!r} (residual {residual.max():.3e})")

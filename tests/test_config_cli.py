@@ -646,22 +646,41 @@ def test_manifest_lists_only_the_seeds_used(tmp_path):
     assert json.loads((tmp_path / "two" / "manifest.json").read_text())["seeds"] == [41]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+# A small run of every CLI kind; the single-lane run is long enough to fit a
+# growth rate and takes its k = 1 root at a nonzero delay.
+SMALL_RUNS = {
+    "fundamental-diagram": ["--set", "rho_resolution_per_km=10"],
+    "single-lane": ["--set", "dt=0.05", "--set", "delay=0.5", "--set", "record_stride=10",
+                    "--set", "flow_grid_nt=3", "--set", "flow_grid_nx=3"],
+    "stability": ["--set", "n_vehicles=12"],
+    "tau-curve": [],
+    "load-balance": ["--set", "t_end=5", "--set", "delta_flow=1", "--replicas", "2"],
+    "aggressive": ["--set", "t_end=5", "--replicas", "2"],
+    "two-lane": ["--set", "n_lane0=10", "--set", "dt=0.05", "--set", "t_end=2"],
+}
+
+
+def test_every_cli_kind_runs_with_scipy_unimportable(tmp_path):
     import ringtraffic
 
+    assert set(SMALL_RUNS) == set(KINDS)
     src_dir = str(Path(ringtraffic.__file__).parents[1])
-    out = str(tmp_path / "sl")
     code = (
-        f"import sys; sys.path.insert(0, {src_dir!r}); import ringtraffic.cli; "
-        "print('scipy.signal' in sys.modules); "
-        "from ringtraffic.config import load_config; "
-        "cfg = load_config(kind='single-lane', overrides=['record_stride=10', "
-        "'flow_grid_nt=3', 'flow_grid_nx=3']); "
-        f"m = ringtraffic.cli.run_scenario(cfg, {out!r}); "
-        "print('growth_fit.csv' in m.artifacts, 'scipy.signal' in sys.modules)"
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy or a submodule raises ImportError\n"
+        f"sys.path.insert(0, {src_dir!r})\n"
+        "import ringtraffic.cli\n"
+        "runs = json.loads(sys.argv[1])\n"
+        "status = {kind: ringtraffic.cli.main([kind, *args, '--out', f'{sys.argv[2]}/{kind}', '--quiet'])\n"
+        "          for kind, args in runs.items()}\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, json.dumps(SMALL_RUNS), str(tmp_path)],
+        capture_output=True, text=True, check=True,
     )
-    # the default single-lane run fits a growth rate without scipy.signal
-    assert result.stdout.split() == ["False", "True", "False"]
+    status, scipy_modules = json.loads(result.stdout)
+    assert status == {kind: EXIT_OK for kind in KINDS}, result.stderr
+    assert scipy_modules == ["scipy"]  # the blocking entry alone
+    assert (tmp_path / "single-lane" / "growth_fit.csv").exists()
+    assert (tmp_path / "stability" / "stability.csv").exists()

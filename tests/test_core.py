@@ -112,6 +112,16 @@ def test_summary_is_the_stationary_point(params):
     assert s.q_star == pytest.approx(equilibrium_flow(s.rho_star, params), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(lambda_rate=1e-18), ModelParams(lambda_rate=1000.0, v_max=1.0)],
+    ids=["1 + a*d_min rounds to 1", "exp(-a*d_min) underflows"],
+)
+def test_summary_without_a_flow_peak_is_a_parameter_error(params):
+    with pytest.raises(ParameterError):
+        fundamental_diagram_summary(params)
+
+
 def test_jam_density_scales_with_minimal_headway():
     doubled = ModelParams(d_min=15.0)
     s = fundamental_diagram_summary(doubled)

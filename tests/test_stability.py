@@ -1,5 +1,8 @@
 import cmath
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +18,13 @@ from ringtraffic import (
     rightmost_roots,
 )
 import ringtraffic.stability as stability
+from ringtraffic.core import _lambert_w_minus1
 from ringtraffic.errors import NumericalError, ParameterError
-from ringtraffic.stability import scale_constant
+from ringtraffic.stability import _on_principal_branch, scale_constant
 
 from oracles import build_jacobian_dense, characteristic_roots
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def newton_root(d, delay, start, tol=1e-13):
@@ -36,6 +42,32 @@ def newton_root(d, delay, start, tol=1e-13):
         if abs(step) <= tol * (1.0 + abs(lam)):
             return lam
     return lam
+
+
+@pytest.fixture(scope="module")
+def random_arguments():
+    """200k complex z with |z| log-uniform in [e^-8, e^8] and uniform argument."""
+    rng = np.random.default_rng(11)
+    size = 200_000
+    return np.exp(rng.uniform(-8, 8, size) + 1j * rng.uniform(-np.pi, np.pi, size))
+
+
+@pytest.fixture(scope="module")
+def plan_arguments(table1_params):
+    """The mode arguments ``z = d_k tau`` (k = 1..N/2) of every growth-rate
+    point of the benchmark's stability plans for seeds 1-6."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+        sys.path.remove(str(PERFBENCH))
+    points = {pt for seed in range(1, 7) for pt in workloads.stability_plan(seed)["growth_points"]}
+    return np.concatenate(
+        [closed_form_eigenvalues(n, table1_params)[: n // 2] * tau for n, tau in sorted(points)]
+    )
 
 
 def scipy_scan_growth_rate(n, delay, p):
@@ -114,35 +146,65 @@ def test_two_vehicle_ring_has_no_oscillation(table1_params, delay):
     assert root.real < 0.0
 
 
-def test_lambert_w_against_scipy():
-    rng = np.random.default_rng(11)
-    for branch in range(-8, 9):
-        z = rng.uniform(-4, 4, 800) + 1j * rng.uniform(-4, 4, 800)
-        z = z[np.abs(z) > 1e-6]
-        # branch identity right on a cut is convention-dependent; stay off it
-        z = z[(np.abs(z.imag) > 1e-3) | (z.real > 1e-3)]
-        np.testing.assert_allclose(
-            lambert_w(z, branch), scipy_lambertw(z, branch), atol=1e-10
-        )
+def test_lambert_w_against_scipy(random_arguments, plan_arguments):
+    for z in (random_arguments, plan_arguments):
+        np.testing.assert_allclose(lambert_w(z), scipy_lambertw(z, 0), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("arguments", ["random_arguments", "plan_arguments"])
+def test_branch_test_accepts_w0_and_rejects_the_neighbouring_branches(request, arguments):
+    z = request.getfixturevalue(arguments)
+    assert _on_principal_branch(scipy_lambertw(z, 0), z).all()
+    for branch in (-1, 1):
+        assert not _on_principal_branch(scipy_lambertw(z, branch), z).any(), branch
 
 
 def test_lambert_w_defining_equation_near_branch_point():
     for z in (-1 / math.e, -1 / math.e + 1e-9, -0.36581241, -0.3658 + 1e-4j):
-        for branch in (0, -1):
-            w = lambert_w(z, branch)
-            assert abs(w * cmath.exp(w) - z) < 1e-10
+        w = lambert_w(z)
+        assert abs(w * cmath.exp(w) - z) < 1e-10
+    for x in (-1 / math.e + 1e-9, -0.36581241):
+        w = _lambert_w_minus1(x)
+        assert w < -1
+        assert abs(w * math.exp(w) - x) < 1e-10
 
 
 def test_lambert_w_at_zero():
-    assert lambert_w(0.0, 0) == 0.0
-    with pytest.raises(ParameterError):
-        lambert_w(0.0, -1)
+    assert lambert_w(0.0) == 0.0
+    assert lambert_w(np.array([0.0, 1.0]))[0] == 0.0
+
+
+def test_lambert_w_edge_inputs(table1_params):
+    assert lambert_w(-1 / math.e) == pytest.approx(-1.0, abs=1e-7)
+    # past the branch point, on the cut: the upper value, as scipy returns it
+    for x in (-0.37, -0.5, -1.0, -2.0, -10.0, -1e3, -1e6):
+        w = lambert_w(x)
+        assert w.imag > 0
+        assert w == pytest.approx(scipy_lambertw(x, 0), rel=1e-13, abs=1e-13)
+        assert lambert_w(complex(x, -0.0)) == w
+    # the half-ring mode of an even ring is real and lies on the cut past -1/e
+    z = closed_form_eigenvalues(50, table1_params)[24] * 2.0
+    assert z.imag == 0.0 and z.real < -1 / math.e
+    root = rightmost_roots(50, 2.0, table1_params)[24]
+    assert root.imag > 0
+    assert root == pytest.approx(scipy_lambertw(z, 0) / 2.0, rel=1e-13, abs=1e-13)
+    with pytest.raises(NumericalError):
+        lambert_w(math.nan)
+
+
+def test_lambert_w_minus1_against_scipy():
+    for ad in np.geomspace(1e-6, 50.0, 400):
+        x = -math.exp(-(1.0 + ad))
+        assert _lambert_w_minus1(x) == pytest.approx(scipy_lambertw(x, -1).real, rel=1e-12)
+    for x in (-1 / math.e, -0.5, -0.0, 0.1):
+        with pytest.raises(ParameterError):
+            _lambert_w_minus1(x)
 
 
 def test_nan_fails_the_residual_checks(table1_params, monkeypatch):
     with pytest.raises(NumericalError):
         lambert_w(complex(math.nan, 1.0))
-    monkeypatch.setattr(stability, "lambert_w", lambda z, branch=0: np.full_like(z, math.nan))
+    monkeypatch.setattr(stability, "lambert_w", lambda z: np.full_like(z, math.nan))
     with pytest.raises(NumericalError):
         max_growth_rate(50, 0.75, table1_params)
 
@@ -265,13 +327,15 @@ def test_max_growth_rate_calls_lambert_w_once(table1_params, monkeypatch):
     calls = []
     real = stability.lambert_w
 
-    def counted(z, branch=0):
-        calls.append(branch)
-        return real(z, branch)
+    def counted(z):
+        calls.append(np.array(z))
+        return real(z)
 
     monkeypatch.setattr(stability, "lambert_w", counted)
     max_growth_rate(50, 0.75, table1_params)
-    assert calls == [0]
+    # one call, on the arguments of modes k = 1..N/2; the rest are their conjugates
+    (z,) = calls
+    np.testing.assert_array_equal(z, closed_form_eigenvalues(50, table1_params)[:25] * 0.75)
 
 
 def test_rightmost_roots_are_each_modes_rightmost_characteristic_root(table1_params):
@@ -280,7 +344,10 @@ def test_rightmost_roots_are_each_modes_rightmost_characteristic_root(table1_par
     lam = rightmost_roots(50, 0.75, table1_params)
     for d, root in zip(eigs[::7], lam[::7]):
         roots = characteristic_roots(d, 0.75)
-        assert root == roots[np.argmax(roots.real)]
+        assert root == pytest.approx(roots[np.argmax(roots.real)], rel=1e-13, abs=1e-13)
+    # modes k and N-k have conjugate roots
+    np.testing.assert_array_equal(lam[25:], lam[:24][::-1].conj())
+    assert rightmost_roots(7, 0.75, table1_params).size == 6
     # the k=1 mode's period is the ring wave's, about 68.4 s at N=50
     for delay in np.linspace(0.0, 0.75, 16):
         lam1 = rightmost_roots(50, float(delay), table1_params)[0]
