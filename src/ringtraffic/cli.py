@@ -234,13 +234,16 @@ class _LoadBalanceTables:
         self.done = np.zeros(rows, dtype=np.int64)  # samples whose flow is counted
 
     def sample(self, rows, k, t, positions, velocities, lanes, phis):
-        self.times[rows, k] = t
-        self.imbalance[rows, k] = lane_imbalance(lanes)
-        if k - self.offset[rows[0]] == len(self.window):
+        at = slice(None) if len(rows) == len(self.times) else rows
+        self.times[at, k] = t
+        self.imbalance[at, k] = lane_imbalance(lanes)
+        slot = k - self.offset[rows[0]]
+        if slot == len(self.window):
             self._count(rows, k)
-            self.window[: self.keep, rows] = self.window[self.keep :, rows]
-            self.offset[rows] += self.keep
-        self.window[k - self.offset[rows[0]], rows] = positions
+            self.window[: self.keep, at] = self.window[self.keep :, at]
+            self.offset[at] += self.keep
+            slot -= self.keep
+        self.window[slot, at] = positions
 
     def _count(self, rows, end: int) -> None:
         """Count the flows of samples ``done..end`` of rows that share them."""

@@ -13,6 +13,7 @@ exactly the run of its seed alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -138,16 +139,30 @@ def init_two_lane(
 
 
 def _by_row(*arrays):
-    """Each array as ``(rows, N)`` (views), then the shape of the first."""
+    """Each array as ``(rows, N)`` (views, or the arrays themselves when
+    already 2-D), then the shape of the first."""
     shape = arrays[0].shape
+    if len(shape) == 2:
+        return (*arrays, shape)
     return (*[a.reshape(-1, shape[-1]) for a in arrays], shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_starts(rows: int, n: int) -> np.ndarray:
+    """The flat index of each row's first element, ``(rows, 1)`` (read-only)."""
+    base = np.arange(0, rows * n, n)[:, None]
+    base.flags.writeable = False
+    return base
 
 
 class _Ring:
     """Each row's vehicles in order of wrapped position: a stable argsort of
-    the row (``order``), the same as indices into the flattened ``(rows, N)``
-    arrays (``flat``, each row offset by ``base``), the sorted positions
-    ``x``, and ``ahead``, those positions followed by their images a lap on.
+    the row (``order``), the same as indices into the flattened arrays the
+    ring was built from (``flat``), the sorted positions ``x``, ``ahead``,
+    those positions followed by their images a lap on, ``base``, the flat
+    index of the first element of each of the ring's own rows, and ``past``,
+    the first column after each column's run of equal positions (``None``
+    when no two are equal, the next column).
 
     Lane changes move no vehicle, so one ring of the step-start positions
     serves perception, scan order, safety gap and pass count for the whole
@@ -156,30 +171,38 @@ class _Ring:
     indexing by ``[row, order]``.
     """
 
-    __slots__ = ("base", "order", "flat", "x", "ahead")
+    __slots__ = ("base", "order", "flat", "x", "ahead", "past")
 
-    def __init__(self, base, order, flat, x, ahead):
+    def __init__(self, base, order, flat, x, ahead, past):
         self.base, self.order, self.flat, self.x, self.ahead = base, order, flat, x, ahead
+        self.past = past
 
     @classmethod
     def of(cls, positions, track_length):
         """The ring of ``(rows, N)`` unwrapped positions."""
         wrapped = positions % track_length
         rows, n = wrapped.shape
-        base = np.arange(0, rows * n, n)[:, None]
+        base = _row_starts(rows, n)
         order = np.argsort(wrapped, axis=1, kind="stable")
         flat = order + base
         x = wrapped.ravel()[flat]
-        return cls(base, order, flat, x, np.concatenate([x, x + track_length], axis=1))
+        past = None
+        tied = x[:, 1:] == x[:, :-1]
+        if tied.any():
+            past = np.full((rows, n), n)
+            past[:, :-1] = np.where(tied, n, np.arange(1, n))
+            past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
+        return cls(base, order, flat, x, np.concatenate([x, x + track_length], axis=1), past)
 
     def rows(self, r: int):
-        """The ring of row ``r`` alone, as one row (views); the flat indices
-        of one row are its order."""
+        """The ring of row ``r`` alone, as one row (views); its flat indices
+        still point into the arrays of every row."""
         at = slice(r, r + 1)
-        return _Ring(self.base[:1], self.order[at], self.order[at], self.x[at], self.ahead[at])
+        past = None if self.past is None else self.past[at]
+        return _Ring(self.base[:1], self.order[at], self.flat[at], self.x[at], self.ahead[at], past)
 
     def sort(self, values):
-        """``(rows, N)`` values in vehicle order, put in ring order."""
+        """Values in vehicle order, put in ring order."""
         return values.ravel()[self.flat]
 
     def unsort(self, values):
@@ -189,67 +212,55 @@ class _Ring:
         return out
 
 
-def _lane_runs(lane):
-    """Each sorted row of lanes over two laps, and ``switch[r, c]``: the first
-    column after ``c`` in the other lane than ``c``'s (``2n`` if none)."""
+def _perceive(ring, lane, track_length):
+    """In-lane and other-lane headways in ring order, of the ``(rows, N)``
+    lanes given in the order of ``ring``, from one pass over their runs.
+
+    Over two laps of each row, ``start[r, c]`` is the first column after
+    ``c`` that begins a run of the other lane than the column before it
+    (``2n`` if none).  Where the next column keeps the vehicle's lane, the
+    in-lane leader is that column and the other-lane one starts the next
+    run; where it does not, the other way round.  The in-lane leader is at
+    the latest the vehicle's own image n columns on; the other-lane one is
+    taken past the vehicle's run of equal positions.
+    """
     rows, n = lane.shape
-    twice = np.concatenate([lane, lane], axis=1)
-    switch = np.full((rows, 2 * n), 2 * n)
-    switch[:, :-1] = np.where(twice[:, 1:] != twice[:, :-1], np.arange(1, 2 * n), 2 * n)
-    return twice, np.minimum.accumulate(switch[:, ::-1], axis=1)[:, ::-1]
-
-
-def _in_lane(ring, twice, switch, track_length):
-    """In-lane headways in ring order.  The leader is the next column of the
-    same lane, at the latest the vehicle's own image n columns on."""
-    n = twice.shape[1] // 2
-    after = np.arange(1, n + 1)
-    leader = np.where(twice[:, 1 : n + 1] == twice[:, :n], after, switch[:, 1 : n + 1])
-    own = ring.ahead.ravel()[leader + 2 * ring.base] - ring.x
-    own[leader == after + (n - 1)] = track_length
-    return own
-
-
-def _other_lane(ring, twice, switch, track_length):
-    """Other-lane headways in ring order: to the first column of the other
-    lane past the vehicle's run of equal positions."""
+    column = np.arange(1, 2 * n + 1)
+    thrice = np.concatenate([lane, lane, lane[:, :1]], axis=1)
+    change = thrice[:, 1:] != thrice[:, :-1]
+    start = np.where(change, column, 2 * n)  # column 2n - 1 has none after it
+    start = np.minimum.accumulate(start[:, ::-1], axis=1)[:, ::-1]
+    after, switch, turns = column[:n], start[:, 1 : n + 1], change[:, :n]
     x = ring.x
-    n = x.shape[1]
-    column = past = np.arange(1, n + 1)
-    tied = x[:, 1:] == x[:, :-1]
-    if tied.any():
-        # past[r, j]: the first column after j's run of equal positions.
-        past = np.full(x.shape, n)
-        past[:, :-1] = np.where(tied, n, column[: n - 1])
-        past = np.minimum.accumulate(past[:, ::-1], axis=1)[:, ::-1]
-        at = past + 2 * ring.base
-        at_past, switch_past = twice.ravel()[at], switch.ravel()[at]
+    leader = np.where(turns, switch, after)
+    own = ring.ahead.ravel()[leader + _row_starts(rows, 2 * n)] - x
+    own[leader == column[n - 1 : 2 * n - 1]] = track_length  # alone: its own image
+    if ring.past is None:
+        nearest = np.where(turns, after, switch)
     else:
-        at_past, switch_past = twice[:, 1 : n + 1], switch[:, 1 : n + 1]
-    nearest = np.where(at_past != twice[:, :n], past, switch_past)
+        past = ring.past
+        at_past = np.take_along_axis(thrice, past, axis=1)
+        nearest = np.where(at_past != lane, past, np.take_along_axis(start, past, axis=1))
     # A leader past the row's end sits a lap on, d <= 0 behind: d + L is
     # d % L there, and the L that a side-by-side 0 would become.
     gap = x.ravel()[nearest % n + ring.base] - x
     np.add(gap, track_length, out=gap, where=nearest >= n)
     gap[gap == 0.0] = track_length
     gap[nearest == 2 * n] = np.inf
-    return gap
+    return own, gap
 
 
-def _headways(positions_ref, lanes, track_length, ring, halves):
-    """The selected halves of the perception (``_in_lane``, ``_other_lane``)
-    on the given positions, in vehicle order and the shape of ``lanes``."""
+def _headways(positions_ref, lanes, track_length):
+    """:func:`_perceive` on the given positions, in vehicle order and the
+    shape of ``lanes``."""
     lanes, shape = _by_row(lanes)
-    if ring is None:
-        ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
-    twice, switch = _lane_runs(ring.sort(lanes))
-    return [ring.unsort(half(ring, twice, switch, track_length)).reshape(shape) for half in halves]
+    ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
+    return [ring.unsort(h).reshape(shape) for h in _perceive(ring, ring.sort(lanes), track_length)]
 
 
-def perceived_headways(positions_ref, lanes, track_length: float, ring=None):
+def perceived_headways(positions_ref, lanes, track_length: float):
     """In-lane and other-lane headways of every vehicle on the given
-    positions, row by row, from one sort of each row (``ring``, that of
-    ``positions_ref``, when the caller has built it).
+    positions, row by row, from one sort of each row.
 
     The in-lane headway runs to the next vehicle of the same lane; a vehicle
     alone in its lane faces its own periodic image, headway exactly L.  The
@@ -257,17 +268,17 @@ def perceived_headways(positions_ref, lanes, track_length: float, ring=None):
     lane: a vehicle exactly side-by-side is not ahead, so the next one (or its
     image one lap ahead) counts, and it is infinite when that lane is empty.
     """
-    return tuple(_headways(positions_ref, lanes, track_length, ring, (_in_lane, _other_lane)))
+    return tuple(_headways(positions_ref, lanes, track_length))
 
 
-def own_headways(positions_ref, lanes, track_length: float, ring=None) -> np.ndarray:
-    """The in-lane half of :func:`perceived_headways`, computed alone."""
-    return _headways(positions_ref, lanes, track_length, ring, (_in_lane,))[0]
+def own_headways(positions_ref, lanes, track_length: float) -> np.ndarray:
+    """The in-lane half of :func:`perceived_headways`."""
+    return _headways(positions_ref, lanes, track_length)[0]
 
 
-def adjacent_headways(positions_ref, lanes, track_length: float, ring=None) -> np.ndarray:
-    """The other-lane half of :func:`perceived_headways`, computed alone."""
-    return _headways(positions_ref, lanes, track_length, ring, (_other_lane,))[0]
+def adjacent_headways(positions_ref, lanes, track_length: float) -> np.ndarray:
+    """The other-lane half of :func:`perceived_headways`."""
+    return _headways(positions_ref, lanes, track_length)[1]
 
 
 def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
@@ -285,27 +296,29 @@ def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
 
 def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams, ring=None) -> bool:
     """True when no adjacent-lane vehicle sits within the closed interval
-    ``[x - d_min, x + d_min]`` around the vehicle (true positions of one run).
+    ``[x - d_min, x + d_min]`` around the vehicle (true positions).
 
     Only the vehicle's neighbours in the sorted ring of the true positions
-    (``ring``, one row, built here when not given) can be that near: the walk
-    goes forward, then backward, until the gap exceeds ``d_min``.  Gaps grow
-    along each walk, save for vehicles tied with this one, which sit at the
-    start of one walk and at the end of the other.
+    can be that near: the walk goes forward, then backward, until the gap
+    exceeds ``d_min``.  Gaps grow along each walk, save for vehicles tied
+    with this one, which sit at the start of one walk and at the end of the
+    other.  ``ring`` is the ring of the vehicle's row (``ring.rows(r)`` for
+    row ``r`` of a batch state); it is built here for a state of one run
+    when not given.
     """
     if ring is None:
         ring = _Ring.of(state.positions.reshape(1, -1), p.track_length)
-    order, x = ring.order[0], ring.x[0]
+    order, x, lane = ring.order[0], ring.x[0], ring.sort(state.lanes)[0]
     n = len(order)
-    i = int(np.flatnonzero(order == vehicle)[0])
-    other = 1 - state.lanes[vehicle]
+    i = int((order == vehicle).nonzero()[0][0])
+    other = 1 - lane[i]
     here, length = x[i], p.track_length
     for step in (1, -1):
         for k in range(1, n):
             j = (i + step * k) % n
             if (step * (x[j] - here)) % length > p.d_min:
                 break
-            if state.lanes[order[j]] == other:
+            if lane[j] == other:
                 return False
     return True
 
@@ -335,7 +348,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -
     reach = min(move.max() - move.min() + PASS_MARGIN * track_length, track_length)
     if ring is None:
         ring = _Ring.of(prev_pos, track_length)
-    x, ahead, flat = ring.x, ring.ahead, ring.flat.ravel()
+    x, ahead = ring.x, ring.ahead
     # 0 or 1 by lane, 2 when excluded: a pair counts when its codes sum to 1.
     code = None
     found = []
@@ -346,7 +359,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -
         if code is None:
             code = ring.sort(np.where(excluded, 2, lanes))
             code = np.concatenate([code, code], axis=1)
-        r, a = np.nonzero(near & (code[:, k : k + n] + code[:, :n] == 1))
+        r, a = (near & (code[:, k : k + n] + code[:, :n] == 1)).nonzero()
         c = (a + k) % n
         if 2 * k >= n:
             # Near both ways round too (c sees a n - k places on)?  Keep the
@@ -354,7 +367,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -
             # column when both have n / 2.
             again = (ahead[r, c + n - k] - x[r, c] <= reach) & ((2 * k > n) | (c < a))
             r, a, c = r[~again], a[~again], c[~again]
-        found.append((flat[r * n + a], flat[r * n + c]))
+        found.append((ring.flat[r, a], ring.flat[r, c]))
     if not found:
         return np.zeros(shape, dtype=np.int64)
     i, j = found[0] if len(found) == 1 else (np.concatenate(v) for v in zip(*found))
@@ -369,14 +382,14 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -
     return counts.astype(np.int64).reshape(shape)
 
 
-def _scan_order(ring: _Ring, lanes) -> np.ndarray:
-    """Row by row, lane 0 by ascending wrapped position, then lane 1 likewise.
+def _scan_order(lane) -> np.ndarray:
+    """Row by row, the ring columns of lane 0 by ascending wrapped position,
+    then those of lane 1, from the lanes in ring order.
 
     A stable lane partition of the ring, so ties in position keep vehicle
-    order: exactly ``np.lexsort((positions % L, lanes))``.
+    order: in vehicles, exactly ``np.lexsort((positions % L, lanes))``.
     """
-    partition = np.argsort(ring.sort(lanes), axis=1, kind="stable")
-    return ring.order.ravel()[partition + ring.base]
+    return np.argsort(lane, axis=1, kind="stable")
 
 
 @dataclass
@@ -447,52 +460,66 @@ def two_lane_step(
     (and one of the delayed positions, under a delay) serves every stage.
     """
     length = p.track_length
-    positions, lanes, phis0, pending, lambdas, shape = _by_row(
+    positions, lanes, phis, pending, lambdas, shape = _by_row(
         state.positions, state.lanes, state.phis, state.pending_passes, state.lambdas
     )
-    n = shape[-1]
+    rows, n = positions.shape
     if isinstance(rng, _Draws):
         draws = rng
     else:
         draws = _Draws([rng] if isinstance(rng, np.random.Generator) else rng, n, 1)
-    if len(draws.rngs) != len(positions):
-        raise ParameterError(
-            f"{len(positions)} rows need as many generators, got {len(draws.rngs)}"
-        )
+    if len(draws.rngs) != rows:
+        raise ParameterError(f"{rows} rows need as many generators, got {len(draws.rngs)}")
+    # The step works in the order of the true ring and unsorts once, at the
+    # end.  The perception runs on the ring of the perceived positions;
+    # under a delay, ``true_of`` and ``seen_of`` map its columns onto the
+    # true ring's and back (None: the identity, the rings being one).
     ring = _Ring.of(positions, length)
+    sorted_lanes, sorted_phis = ring.sort(lanes), ring.sort(phis)
+    sorted_pending = ring.sort(pending)
     if hist.delay_steps == 0:
-        ref_pos, seen = positions, ring  # the perceived positions are the true ones
+        seen, true_of, seen_of = ring, None, None
     else:
-        ref_pos = hist.positions_at_delay().reshape(-1, n)
-        seen = _Ring.of(ref_pos, length)
+        seen = _Ring.of(hist.positions_at_delay().reshape(rows, n), length)
+        column = np.broadcast_to(np.arange(n), (rows, n))
+        true_of = seen.sort(ring.unsort(column))
+        seen_of = ring.sort(seen.unsort(column))
 
-    def perceive(r, seen_r):
-        own, adj = perceived_headways(ref_pos[r], lanes[r], length, ring=seen_r)
-        return (own, *_frustration(phis0[r], own, adj, pending[r], lp, dt))
+    def perceive(r=None):
+        """In-lane headways, frustration and attempt probability, in ring
+        order, of every row (or of row ``r`` alone, as one row)."""
+        at = slice(None) if r is None else slice(r, r + 1)
+        seen_at = seen if r is None else seen.rows(r)
+        if true_of is None:
+            own, adj = _perceive(seen_at, sorted_lanes[at], length)
+        else:
+            lanes_seen = np.take_along_axis(sorted_lanes[at], true_of[at], 1)
+            own, adj = _perceive(seen_at, lanes_seen, length)
+            own, adj = (np.take_along_axis(h, seen_of[at], 1) for h in (own, adj))
+        return (own, *_frustration(sorted_phis[at], own, adj, sorted_pending[at], lp, dt))
 
-    own, phis, prob = perceive(slice(None), seen)
-    scan = _scan_order(ring, lanes)
+    own, phi, prob = perceive()
+    scan = _scan_order(sorted_lanes)
     draw = draws.next()  # one variate per vehicle, in scan order
     attempted = draw < prob.ravel()[scan + ring.base]
 
     changed = np.zeros(positions.shape, dtype=bool)
     events: list[list[LaneEvent]] = [[] for _ in draws.rngs]
-    for r in np.flatnonzero(attempted.any(axis=1)) if attempted.any() else ():
+    for r in attempted.any(axis=1).nonzero()[0] if attempted.any() else ():
         # Replay the row's scan sequentially: an executed change shifts the
         # headways seen by every vehicle scanned after it, which then attempts
         # with, and keeps, the frustration perceived after the change.
-        row = state.rows(r) if len(shape) == 2 else state
         near = ring.rows(r)
-        seen_r = near if seen is ring else seen.rows(r)
-        scan_r, committed = scan[r], phis[r]
-        hits = np.flatnonzero(attempted[r])
+        cols, committed = scan[r], phi[r]
+        hits = attempted[r].nonzero()[0]
         while hits.size:
             i = hits[0]
-            vehicle = scan_r[i]
-            if not safety_gap_check(row, vehicle, p, ring=near):
+            col = cols[i]
+            vehicle = near.order[0, col]
+            if not safety_gap_check(state, vehicle, p, ring=near):
                 hits = hits[1:]
                 continue
-            origin = int(lanes[r, vehicle])
+            origin = int(sorted_lanes[r, col])
             events[r].append(
                 LaneEvent(
                     time=state.time,
@@ -500,21 +527,24 @@ def two_lane_step(
                     kind="lane_change",
                     from_lane=origin,
                     to_lane=1 - origin,
-                    phi_before=float(committed[vehicle]),
+                    phi_before=float(committed[col]),
                 )
             )
-            lanes[r, vehicle] = 1 - origin
+            sorted_lanes[r, col] = lanes[r, vehicle] = 1 - origin
             changed[r, vehicle] = True
-            committed[vehicle] = 0.0  # reset on a successful change
-            own[r], phi_r, prob_r = perceive(r, seen_r)
-            later = scan_r[i + 1 :]
-            committed[later] = phi_r[later]
-            hits = i + 1 + np.flatnonzero(draw[r, i + 1 :] < prob_r[later])
+            committed[col] = 0.0  # reset on a successful change
+            own_r, phi_r, prob_r = perceive(r)
+            own[r] = own_r[0]
+            later = cols[i + 1 :]
+            committed[later] = phi_r[0, later]
+            hits = i + 1 + (draw[r, i + 1 :] < prob_r[0, later]).nonzero()[0]
+    phis = ring.unsort(phi)
+    own = ring.unsort(own)
     state.phis = phis.reshape(shape)
     state.pending_passes = np.zeros(shape, dtype=np.int64)
 
     velocities = _velocity(own, lambdas, p)
-    true_h = own if seen is ring else own_headways(positions, lanes, length, ring=ring)
+    true_h = own if true_of is None else ring.unsort(_perceive(ring, sorted_lanes, length)[0])
     collided = closed(true_h, p)
     hit = collided.any()
     crashed = collided.any(axis=1) if hit else None
@@ -559,7 +589,7 @@ def two_lane_step(
     passes = _count_passes(positions, new_positions, lanes, excluded, length, ring=ring)
     if passes.any():
         state.pending_passes = passes.reshape(shape)
-        for r, vehicle in zip(*np.nonzero(passes)):
+        for r, vehicle in zip(*passes.nonzero()):
             lane = int(lanes[r, vehicle])
             events[r].append(
                 LaneEvent(

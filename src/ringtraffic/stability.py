@@ -112,9 +112,10 @@ def lambert_w(z):
     ``|f| <= 1e-10 |z|``, under which the characteristic root ``w / tau`` of
     :func:`rightmost_roots` passes its check at every delay ``tau``.  Every
     value must then pass the branch test of :func:`_on_principal_branch`.  Real
-    ``z < -1/e`` take the upper value.  A NaN, or any element that does not
-    converge or leaves the branch, raises ``NumericalError``.  Scalars in,
-    scalar out.
+    ``z < -1/e`` take the upper value.  A non-finite argument (tested only
+    once the first residual check fails) raises ``NumericalError`` there, as
+    does any element that does not converge or leaves the branch.  Scalars
+    in, scalar out.
     """
     scalar = np.ndim(z) == 0
     # + 0.0 turns an imaginary -0.0 into +0.0: real z on the cut take the upper value
@@ -130,6 +131,9 @@ def lambert_w(z):
             abs_f = np.abs(f)
             if (abs_f <= root_tol).all() and (abs_f <= lambert_tol * np.abs(e)).all():
                 break
+            if step == _HALLEY_MIN_ITER and not np.isfinite(z_arr).all():
+                bad = int(np.argmin(np.isfinite(z_arr)))
+                raise NumericalError(f"Lambert W of a non-finite argument {complex(z_arr[bad])!r}")
         wp1 = w + 1.0
         wp1 += 1e-300  # changes only an exact hit of the branch point, 0 into 1e-300
         w = w - f / (wp1 - (wp1 + 1.0) * f / (wp1 + wp1))

@@ -19,6 +19,8 @@ from ringtraffic.errors import ParameterError
 from ringtraffic.lane_change import (
     _count_passes,
     _frustration,
+    _perceive,
+    _Ring,
     _Samples,
     own_headways,
     perceived_headways,
@@ -416,6 +418,85 @@ def test_perceived_headways_match_the_two_sort_references():
     np.testing.assert_array_equal(oracle_own_headways(x, lanes, 1000.0), 1000.0)
 
 
+def ring_kernel_headways(positions, lanes, length):
+    """The ring-order kernel as the step runs it, put back in vehicle order:
+    on every row of the batch at once, and on each row's ring alone, as a
+    replay runs it."""
+    ring = _Ring.of(positions, length)
+    lane = ring.sort(lanes)
+    whole = [ring.unsort(h) for h in _perceive(ring, lane, length)]
+    by_row = [np.empty_like(h) for h in whole]
+    for r in range(len(positions)):
+        for out, h in zip(by_row, _perceive(ring.rows(r), lane[r : r + 1], length)):
+            out[r, ring.order[r]] = h[0]
+    return whole, by_row
+
+
+def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
+    length = 1000.0
+    # One batch: ties (side by side, and a lap apart), lane 1 empty, lane 0
+    # empty, a vehicle alone in lane 1, one alone in lane 0 tied with a
+    # vehicle of lane 1 (both where (x + L) - x is not L), and one at a
+    # position that wraps to exactly L.
+    positions = np.array(
+        [
+            [0.0, 0.0, 250.0, 250.0 + length, 500.0, 500.0 - 2 * length, 750.0, 750.0],
+            [10.0, 130.0, 260.0, 390.0, 520.0, 650.0, 780.0, 910.0],
+            [10.0, 130.0, 260.0, 390.0, 520.0, 650.0, 780.0, 910.0],
+            [10.0, 130.0, 260.0, 100.111, 520.0, 650.0, 780.0, 910.0],
+            [123.456, 123.456, 0.0, 100.0, 600.0, 700.0, 800.0, 900.0],
+            [-1e-17, 0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 999.0],
+        ]
+    )
+    lanes = np.array(
+        [
+            [0, 1, 0, 1, 1, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+            [0, 1, 1, 1, 1, 1, 1, 1],
+            [0, 1, 0, 1, 0, 1, 0, 1],
+        ],
+        dtype=np.int8,
+    )
+    assert positions[5, 0] % length == length
+    assert ((positions[[3, 4], [3, 0]] + length) - positions[[3, 4], [3, 0]] != length).all()
+    own, adj = perceived_headways(positions, lanes, length)
+    assert own.tobytes() == oracle_own_headways(positions, lanes, length).tobytes()
+    assert adj.tobytes() == oracle_adjacent_headways(positions, lanes, length).tobytes()
+    whole, by_row = ring_kernel_headways(positions, lanes, length)
+    for kernel in (whole, by_row):
+        assert kernel[0].tobytes() == own.tobytes()
+        assert kernel[1].tobytes() == adj.tobytes()
+    for r in range(len(positions)):
+        one_row = perceived_headways(positions[r], lanes[r], length)
+        assert one_row[0].tobytes() == own[r].tobytes()
+        assert one_row[1].tobytes() == adj[r].tobytes()
+    assert np.all(adj[1] == np.inf) and np.all(adj[2] == np.inf)
+    assert own[3, 3] == length and own[4, 0] == length
+    assert adj[0, 0] == 250.0  # the side-by-side vehicle is not ahead
+    # Fleets of one and two vehicles, mixed batches of random rows.
+    for positions, lanes in (
+        (np.array([[5.0]]), np.array([[1]], dtype=np.int8)),
+        (np.array([[5.0, 5.0]]), np.array([[0, 1]], dtype=np.int8)),
+        (np.array([[5.0, 5.0 + length]]), np.array([[1, 1]], dtype=np.int8)),
+    ):
+        whole, by_row = ring_kernel_headways(positions, lanes, length)
+        own, adj = perceived_headways(positions, lanes, length)
+        for kernel in (whole, by_row):
+            assert kernel[0].tobytes() == own.tobytes()
+            assert kernel[1].tobytes() == adj.tobytes()
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        rows, n = int(rng.integers(2, 7)), int(rng.integers(1, 12))
+        positions, lanes = random_fleet(rng, rows, n, length)
+        whole, by_row = ring_kernel_headways(positions, lanes, length)
+        own, adj = perceived_headways(positions, lanes, length)
+        for kernel in (whole, by_row):
+            assert kernel[0].tobytes() == own.tobytes()
+            assert kernel[1].tobytes() == adj.tobytes()
+
+
 def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
     lp = LaneChangeParams(r=0.0, p=0.0, rng_seed=5)
     state = init_two_lane(table1_params, 25, 25, stagger=20.0)
@@ -599,18 +680,38 @@ def side_by_side_fleet(p):
     )
 
 
+def lane_0_fleet(p):
+    """The load-balance start: 50 vehicles in lane 0 and lane 1 empty, so
+    every vehicle first sees an infinite other-lane headway."""
+    return init_two_lane(p, 50)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Fleet, lane-change parameters, seeds and the rows collided by delay of each
+# case.  The side-by-side fleet never has an empty lane; from lane 0 alone,
+# the load-balance regime, most replays start from one.
+REFERENCE_CASES = {
+    "one-run": (side_by_side_fleet, LaneChangeParams(r=0.5, p=1.0), [5], {0.0: 0, 0.75: 1}),
+    "batch": (side_by_side_fleet, LaneChangeParams(r=0.5, p=1.0), [1, 2, 3, 4, 5, 6], {0.0: 0, 0.75: 6}),
+    "lane-0": (lane_0_fleet, LaneChangeParams(r=0.1, p=0.2), list(range(11, 19)), {0.0: 0, 0.75: 8}),
+}
+
+
 @pytest.mark.parametrize("delay", [0.0, 0.75])
-@pytest.mark.parametrize("seeds", [[5], [1, 2, 3, 4, 5, 6]], ids=["one-run", "batch"])
-def test_two_lane_step_matches_the_reference_step(table1_params, delay, seeds):
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_two_lane_step_matches_the_reference_step(table1_params, delay, case):
     # Bit for bit against the step written out from the standalone kernels.
-    # Under the delay every row collides within 4.3 s (seed 5 first, at
-    # 0.8 s), and p = 1 makes several changes in one row's step.
-    p, dt, lp = table1_params, 0.05, LaneChangeParams(r=0.5, p=1.0)
-    one = side_by_side_fleet(p)
+    # Under the delay every side-by-side row collides within 4.3 s (seed 5
+    # first, at 0.8 s), and p = 1 makes several changes in one row's step.
+    # From lane 0 alone, every row changes lanes 7 to 27 times under the
+    # delay before it collides (2.25 to 5.05 s), and about 240 times in all
+    # over the 7 s without it.
+    fleet, lp, seeds, expected_collided = REFERENCE_CASES[case]
+    p, dt = table1_params, 0.05
+    one = fleet(p)
     batch = len(seeds) > 1
     arrays = (one.positions, one.lanes, one.phis, one.lambdas)
     state = TwoLaneState(*(np.repeat(a[None], len(seeds), axis=0) for a in arrays)) if batch else one
@@ -653,7 +754,7 @@ def test_two_lane_step_matches_the_reference_step(table1_params, delay, seeds):
             if not live:
                 break
     assert most_changes >= 2
-    assert collided == (len(seeds) if delay else 0)
+    assert collided == expected_collided[delay]
 
 
 def test_tracer_counters_read_the_step_truthfully(table1_params, monkeypatch):

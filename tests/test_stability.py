@@ -209,6 +209,17 @@ def test_nan_fails_the_residual_checks(table1_params, monkeypatch):
         max_growth_rate(50, 0.75, table1_params)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
+def test_lambert_w_rejects_a_non_finite_argument_at_the_first_check(z, monkeypatch):
+    # One step more than the residual checks wait for: only the finiteness
+    # test can end the iteration before its step cap.
+    monkeypatch.setattr(stability, "_HALLEY_MAX_ITER", stability._HALLEY_MIN_ITER + 1)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for argument in (z, np.array([0.5, z, 1.0])):
+            with pytest.raises(NumericalError, match="non-finite"):
+                lambert_w(argument)
+
+
 def test_characteristic_roots_zero_delay(table1_params):
     roots = characteristic_roots(-1.0, 0.0)
     assert roots.tolist() == [(-1 + 0j)]
