@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -430,6 +429,9 @@ def _pool_size(workers: int, replicas: int) -> int:
 def _run_replicas(worker_fn, arg_list, workers: int) -> list:
     workers = _pool_size(workers, len(arg_list))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker_fn, arg_list))
     return [worker_fn(args) for args in arg_list]

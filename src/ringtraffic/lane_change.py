@@ -294,7 +294,9 @@ def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
     return phi, 1.0 - (1.0 - TWO_OVER_PI * np.arctan(phi)) ** dt
 
 
-def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams, ring=None) -> bool:
+def safety_gap_check(
+    state: TwoLaneState, vehicle: int, p: ModelParams, ring=None, column=None, lanes=None
+) -> bool:
     """True when no adjacent-lane vehicle sits within the closed interval
     ``[x - d_min, x + d_min]`` around the vehicle (true positions).
 
@@ -304,13 +306,16 @@ def safety_gap_check(state: TwoLaneState, vehicle: int, p: ModelParams, ring=Non
     with this one, which sit at the start of one walk and at the end of the
     other.  ``ring`` is the ring of the vehicle's row (``ring.rows(r)`` for
     row ``r`` of a batch state); it is built here for a state of one run
-    when not given.
+    when not given.  A caller that holds the vehicle's ``column`` in that
+    ring and the row's ``lanes`` in ring order passes them too; both are
+    found here otherwise.
     """
     if ring is None:
         ring = _Ring.of(state.positions.reshape(1, -1), p.track_length)
-    order, x, lane = ring.order[0], ring.x[0], ring.sort(state.lanes)[0]
-    n = len(order)
-    i = int((order == vehicle).nonzero()[0][0])
+    x = ring.x[0]
+    lane = ring.sort(state.lanes)[0] if lanes is None else lanes
+    n = len(x)
+    i = int((ring.order[0] == vehicle).nonzero()[0][0]) if column is None else int(column)
     other = 1 - lane[i]
     here, length = x[i], p.track_length
     for step in (1, -1):
@@ -516,7 +521,9 @@ def two_lane_step(
             i = hits[0]
             col = cols[i]
             vehicle = near.order[0, col]
-            if not safety_gap_check(state, vehicle, p, ring=near):
+            if not safety_gap_check(
+                state, vehicle, p, ring=near, column=col, lanes=sorted_lanes[r]
+            ):
                 hits = hits[1:]
                 continue
             origin = int(sorted_lanes[r, col])

@@ -9,6 +9,7 @@ in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,12 +28,17 @@ _INV_E = math.exp(-1.0)
 _BRANCH_POINT_RADIUS = 1e-6
 
 
-def scale_constant(n_vehicles: int, p: ModelParams) -> float:
-    """Common (negative) sensitivity of the linearized coupling, 1/s; checks
-    that the fleet size is an integer (not a bool) of at least 2."""
+def _check_fleet_size(n_vehicles) -> None:
+    """Raise unless the fleet size is an integer (not a bool) of at least 2."""
     integral = isinstance(n_vehicles, numbers.Integral) and not isinstance(n_vehicles, bool)
     if not (integral and n_vehicles >= 2):
         raise ParameterError(f"need an integer of at least 2 vehicles, got {n_vehicles!r}")
+
+
+def scale_constant(n_vehicles: int, p: ModelParams) -> float:
+    """Common (negative) sensitivity of the linearized coupling, 1/s; checks
+    that the fleet size is an integer (not a bool) of at least 2."""
+    _check_fleet_size(n_vehicles)
     h_eq = p.track_length / n_vehicles
     return -p.lambda_rate * math.exp(-(p.lambda_rate / p.v_max) * (h_eq - p.d_min))
 
@@ -149,13 +155,36 @@ def lambert_w(z):
     return complex(w[0]) if scalar else w
 
 
-def _verify(residual: np.ndarray, inputs, what: str) -> None:
-    """Raise unless every residual is below the relative tolerance; a NaN fails."""
-    if not (residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(inputs))).all():
+@functools.lru_cache(maxsize=256)
+def _half_spectrum(n_vehicles: int, p: ModelParams):
+    """Eigenvalues of modes k = 1..N/2 and their residual bounds
+    ``_RESIDUAL_TOL * max(1, |mu_k|)``, both read-only, built once per fleet.
+    Callers check the fleet size first: ``2.0 == 2`` shares the key of ``2``."""
+    half = closed_form_eigenvalues(n_vehicles, p)[: n_vehicles // 2].copy()
+    bound = _RESIDUAL_TOL * np.maximum(1.0, np.abs(half))
+    half.flags.writeable = bound.flags.writeable = False
+    return half, bound
+
+
+def _half_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray:
+    """Rightmost characteristic roots of modes k = 1..N/2 at a nonzero delay,
+    from one principal Lambert-W call; each must satisfy its mode's
+    characteristic equation to the relative tolerance (a NaN fails).  The
+    delay and the fleet size are checked before the cache is consulted."""
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
+    _check_fleet_size(n_vehicles)
+    half, bound = _half_spectrum(n_vehicles, p)
+    w = lambert_w(half * delay)
+    lam = w / delay
+    residual = np.abs(lam - half * np.exp(-w))
+    if not (residual <= bound).all():
         worst = int(np.argmax(residual))  # the first NaN, if any
         raise NumericalError(
-            f"{what} failed at {complex(inputs[worst])!r} (residual {residual[worst]:.3e})"
+            f"characteristic root failed at {complex(half[worst])!r}"
+            f" (residual {residual[worst]:.3e})"
         )
+    return lam
 
 
 def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray:
@@ -167,21 +196,20 @@ def rightmost_roots(n_vehicles: int, delay: float, p: ModelParams) -> np.ndarray
     k and N-k have conjugate eigenvalues and so conjugate roots: the roots of
     k = 1..N/2 are computed and checked, and the rest mirror them.
     """
-    if not (math.isfinite(delay) and delay >= 0):
-        raise ParameterError(f"delay must be nonnegative, got {delay!r}")
-    eigs = closed_form_eigenvalues(n_vehicles, p)
     if delay == 0:
-        return eigs
-    half = eigs[: n_vehicles // 2]
-    w = lambert_w(half * delay)
-    lam = w / delay
-    _verify(np.abs(lam - half * np.exp(-w)), half, "characteristic root")
+        return closed_form_eigenvalues(n_vehicles, p)
+    lam = _half_roots(n_vehicles, delay, p)
     return np.concatenate([lam, lam[: (n_vehicles - 1) // 2][::-1].conj()])
 
 
 def max_growth_rate(n_vehicles: int, delay: float, p: ModelParams) -> StabilityVerdict:
-    """Maximal real part of the characteristic roots over all modes."""
-    best = float(rightmost_roots(n_vehicles, delay, p).real.max())
+    """Maximal real part of the characteristic roots over all modes; at a
+    positive delay, over modes k = 1..N/2, whose mirrors N-k share their real
+    parts."""
+    if delay == 0:
+        best = float(closed_form_eigenvalues(n_vehicles, p).real.max())
+    else:
+        best = float(_half_roots(n_vehicles, delay, p).real.max())
     return StabilityVerdict(max_real_part=best, stable=best < 0)
 
 

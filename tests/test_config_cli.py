@@ -451,7 +451,7 @@ def test_seed_and_replicas_flags(tmp_path):
 def pool_sizes(monkeypatch):
     """Swaps ProcessPoolExecutor for an in-process stand-in that starts no
     process; returns the list of pool sizes requested."""
-    import ringtraffic.cli as cli
+    import concurrent.futures
 
     sizes = []
 
@@ -468,7 +468,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -684,3 +684,22 @@ def test_every_cli_kind_runs_with_scipy_unimportable(tmp_path):
     assert scipy_modules == ["scipy"]  # the blocking entry alone
     assert (tmp_path / "single-lane" / "growth_fit.csv").exists()
     assert (tmp_path / "stability" / "stability.csv").exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only a replica run with more than one worker needs the pool, and
+    # importing it pulls in multiprocessing, socket and subprocess.
+    import ringtraffic
+
+    src_dir = str(Path(ringtraffic.__file__).parents[1])
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src_dir!r})\n"
+        "import ringtraffic.cli\n"
+        "from ringtraffic.config import load_config\n"
+        "for kind in ringtraffic.cli.KINDS:\n"
+        "    load_config(kind=kind, overrides=[])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == []

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import importlib
 import math
 import sys
@@ -188,7 +189,7 @@ def test_lambert_w_edge_inputs(table1_params):
     root = rightmost_roots(50, 2.0, table1_params)[24]
     assert root.imag > 0
     assert root == pytest.approx(scipy_lambertw(z, 0) / 2.0, rel=1e-13, abs=1e-13)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
         lambert_w(math.nan)
 
 
@@ -202,7 +203,7 @@ def test_lambert_w_minus1_against_scipy():
 
 
 def test_nan_fails_the_residual_checks(table1_params, monkeypatch):
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
         lambert_w(complex(math.nan, 1.0))
     monkeypatch.setattr(stability, "lambert_w", lambda z: np.full_like(z, math.nan))
     with pytest.raises(NumericalError):
@@ -343,10 +344,45 @@ def test_max_growth_rate_calls_lambert_w_once(table1_params, monkeypatch):
         return real(z)
 
     monkeypatch.setattr(stability, "lambert_w", counted)
-    max_growth_rate(50, 0.75, table1_params)
-    # one call, on the arguments of modes k = 1..N/2; the rest are their conjugates
-    (z,) = calls
-    np.testing.assert_array_equal(z, closed_form_eigenvalues(50, table1_params)[:25] * 0.75)
+    # the second call surely finds the fleet's half-spectrum cached: still one call
+    for _ in range(2):
+        calls.clear()
+        max_growth_rate(50, 0.75, table1_params)
+        # one call, on the arguments of modes k = 1..N/2; the rest are their conjugates
+        (z,) = calls
+        np.testing.assert_array_equal(z, closed_form_eigenvalues(50, table1_params)[:25] * 0.75)
+
+
+def test_cache_is_consulted_only_for_valid_fleet_sizes(table1_params):
+    # 2.0 == 2 and hash(2.0) == hash(2): a cache consulted before the check
+    # would hand the float the int's spectrum
+    max_growth_rate(2, 0.75, table1_params)
+    with pytest.raises(ParameterError):
+        max_growth_rate(2.0, 0.75, table1_params)
+    with pytest.raises(ParameterError):
+        rightmost_roots(np.float64(2.0), 0.75, table1_params)
+
+
+def test_returned_arrays_do_not_alias_the_cache(table1_params):
+    delays = (0.0, 0.75)
+    rates = [max_growth_rate(12, delay, table1_params) for delay in delays]
+    roots = [rightmost_roots(12, delay, table1_params) for delay in delays]
+    expected = [r.copy() for r in roots]
+    for array in (*roots, closed_form_eigenvalues(12, table1_params)):
+        array[:] = 1e3
+    assert [max_growth_rate(12, delay, table1_params) for delay in delays] == rates
+    for delay, want in zip(delays, expected):
+        np.testing.assert_array_equal(rightmost_roots(12, delay, table1_params), want)
+
+
+def test_fleets_that_differ_in_one_parameter_get_their_own_spectra(table1_params):
+    longer = dataclasses.replace(table1_params, track_length=table1_params.track_length + 1.0)
+    for p in (table1_params, longer, table1_params, longer):
+        # the roots of modes k = 1..N/2 as the solver computes them, uncached
+        expected = lambert_w(closed_form_eigenvalues(12, p)[:6] * 0.75) / 0.75
+        np.testing.assert_array_equal(rightmost_roots(12, 0.75, p)[:6], expected)
+        assert max_growth_rate(12, 0.75, p).max_real_part == expected.real.max()
+    assert max_growth_rate(12, 0.75, longer) != max_growth_rate(12, 0.75, table1_params)
 
 
 def test_rightmost_roots_are_each_modes_rightmost_characteristic_root(table1_params):
