@@ -38,7 +38,6 @@ from .metrics import (
     flow_field,
     growth_rate_from_record,
     lane_change_count_series,
-    lane_imbalance,
 )
 from .records import TERMINATED_COLLISION, write_events_csv
 # Under its own name, per-layer tracing times the CLI's tables apart from trajectories.
@@ -214,6 +213,9 @@ class _LoadBalanceTables:
     """Per-sample reduction of load-balance rows: lane imbalance and the flow
     at half the track over ``(t - delta, t]`` at every sample ``t >= delta``.
 
+    A sample keeps each row's lane-1 count; its tables turn the counts into
+    the imbalance, ``|N - 2 * count|`` as :func:`lane_imbalance` has it.
+
     Flows are counted from one window of every row's last ``2 keep``
     positions, ``keep`` samples covering any flow window.  The rows of one
     ``sample`` call share their time history: when their window is full they
@@ -226,7 +228,8 @@ class _LoadBalanceTables:
         self.x = np.array([self.length / 2.0])
         self.keep = math.ceil(self.delta / (cfg["dt"] * cfg["record_stride"])) + 2
         self.times = np.empty((rows, size))
-        self.imbalance = np.empty((rows, size), dtype=np.int64)
+        self.n = n_vehicles
+        self.lane1 = np.empty((rows, size), dtype=np.int64)
         self.flow = np.empty((rows, size))
         self.window = np.empty((2 * self.keep, rows, n_vehicles))
         self.offset = np.zeros(rows, dtype=np.int64)  # the sample in window slot 0
@@ -235,7 +238,7 @@ class _LoadBalanceTables:
     def sample(self, rows, k, t, positions, velocities, lanes, phis):
         at = slice(None) if len(rows) == len(self.times) else rows
         self.times[at, k] = t
-        self.imbalance[at, k] = lane_imbalance(lanes)
+        self.lane1[at, k] = lanes.sum(axis=-1, dtype=np.int64)
         slot = k - self.offset[rows[0]]
         if slot == len(self.window):
             self._count(rows, k)
@@ -260,7 +263,7 @@ class _LoadBalanceTables:
         times = self.times[r, :k]
         due = np.searchsorted(times, self.delta)
         return {
-            "replica": [times, self.imbalance[r, :k]],
+            "replica": [times, np.abs(self.n - 2 * self.lane1[r, :k])],
             "flow": [times[due:], self.flow[r, due:k]],
         }
 

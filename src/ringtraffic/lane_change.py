@@ -250,6 +250,68 @@ def _perceive(ring, lane, track_length):
     return own, gap
 
 
+def _perceive_change(x, past, lane, c, track_length):
+    """The headways that a lane change of ring column ``c`` alters, with the
+    arithmetic of :func:`_perceive`, from one row's positions ``x``, ``past``
+    (``None`` when no two are equal) and ``lane``, in ring order, the lanes
+    after the change.
+
+    A vehicle's in-lane leader moves only for the changer and for the last
+    vehicle of each lane before it; its nearest other-lane vehicle ahead
+    moves only where the changer now is, or was, the first one past its run
+    of equal positions, which puts it between one of those two and the
+    changer, or in the changer's run.  So every column from the start of the
+    run of the farther of the two to the end of the changer's run is
+    recomputed, sweeping down from the first vehicle of each lane past that
+    span.  Columns count on past the row's end and back before its start.
+
+    Returns the columns, in-lane and other-lane headways as lists, or
+    ``None`` when the change emptied a lane or moved into an empty one:
+    every other-lane leader of the row moved then.
+    """
+    n = len(lane)
+    last = [None, None]  # the last column of each lane before c
+    for e in range(c - 1, c - n, -1):
+        if last[lane[e]] is None:
+            last[lane[e]] = e
+            if None not in last:
+                break
+    else:
+        return None
+    lo = min(last)
+    if past is not None:
+        k = lo % n
+        start = k
+        while start and past[start - 1] == past[k]:
+            start -= 1
+        lo -= k - start
+    hi = c if past is None else past[c] - 1
+    lo = max(lo, hi - n + 1)
+    ahead = [None, None]  # the first column of each lane after the current one
+    for e in range(hi + 1, hi + n + 1):
+        if ahead[lane[e % n]] is None:
+            ahead[lane[e % n]] = e
+            if None not in ahead:
+                break
+    columns, own, adj = [], [], []
+    for e in range(hi, lo - 1, -1):
+        k = e % n
+        if past is None or past[k] == k + 1:
+            clear = ahead[:]  # the first of each lane past the run of k
+        here, xk = lane[k], x[k]
+        j = k + ahead[here] - e
+        if j == k + n:
+            own.append(track_length)  # alone: its own image
+        else:
+            own.append((x[j] if j < n else x[j - n] + track_length) - xk)
+        j = k + clear[1 - here] - e
+        gap = x[j] - xk if j < n else (x[j - n] - xk) + track_length
+        adj.append(track_length if gap == 0.0 else gap)
+        columns.append(k)
+        ahead[here] = e
+    return columns, own, adj
+
+
 def _headways(positions_ref, lanes, track_length):
     """:func:`_perceive` on the given positions, in vehicle order and the
     shape of ``lanes``."""
@@ -491,8 +553,9 @@ def two_lane_step(
         seen_of = ring.sort(seen.unsort(column))
 
     def perceive(r=None):
-        """In-lane headways, frustration and attempt probability, in ring
-        order, of every row (or of row ``r`` alone, as one row)."""
+        """In-lane and other-lane headways, frustration and attempt
+        probability, in ring order, of every row (or of row ``r`` alone, as
+        one row)."""
         at = slice(None) if r is None else slice(r, r + 1)
         seen_at = seen if r is None else seen.rows(r)
         if true_of is None:
@@ -501,9 +564,9 @@ def two_lane_step(
             lanes_seen = np.take_along_axis(sorted_lanes[at], true_of[at], 1)
             own, adj = _perceive(seen_at, lanes_seen, length)
             own, adj = (np.take_along_axis(h, seen_of[at], 1) for h in (own, adj))
-        return (own, *_frustration(sorted_phis[at], own, adj, sorted_pending[at], lp, dt))
+        return (own, adj, *_frustration(sorted_phis[at], own, adj, sorted_pending[at], lp, dt))
 
-    own, phi, prob = perceive()
+    own, adj, phi, prob = perceive()
     scan = _scan_order(sorted_lanes)
     draw = draws.next()  # one variate per vehicle, in scan order
     attempted = draw < prob.ravel()[scan + ring.base]
@@ -512,20 +575,32 @@ def two_lane_step(
     events: list[list[LaneEvent]] = [[] for _ in draws.rngs]
     for r in attempted.any(axis=1).nonzero()[0] if attempted.any() else ():
         # Replay the row's scan sequentially: an executed change shifts the
-        # headways seen by every vehicle scanned after it, which then attempts
-        # with, and keeps, the frustration perceived after the change.
+        # headways seen by the vehicles near it (every other-lane leader of
+        # the row, when the change empties a lane or moves into an empty
+        # one).  The frustration law reads the headways only through whether
+        # the other lane looks better, so those scanned after the change
+        # for whom that turned attempt with, and keep, the frustration that
+        # follows; for the rest the law gives what it gave.
         near = ring.rows(r)
-        cols, committed = scan[r], phi[r]
-        hits = attempted[r].nonzero()[0]
-        while hits.size:
-            i = hits[0]
-            col = cols[i]
+        cols, committed, own_r, adj_r = scan[r], phi[r], own[r], adj[r]
+        hits = attempted[r].nonzero()[0].tolist()
+        place = None
+        while hits:
+            i = hits.pop(0)
+            col = int(cols[i])
             vehicle = near.order[0, col]
             if not safety_gap_check(
                 state, vehicle, p, ring=near, column=col, lanes=sorted_lanes[r]
             ):
-                hits = hits[1:]
                 continue
+            if place is None:
+                # The perceived ring's positions, runs and lanes, and the scan
+                # place of every true column.
+                x = seen.x[r]
+                past = None if seen.past is None else seen.past[r]
+                view = sorted_lanes[r] if true_of is None else sorted_lanes[r, true_of[r]]
+                place = np.empty(n, dtype=np.intp)
+                place[cols] = np.arange(n)
             origin = int(sorted_lanes[r, col])
             events[r].append(
                 LaneEvent(
@@ -540,11 +615,36 @@ def two_lane_step(
             sorted_lanes[r, col] = lanes[r, vehicle] = 1 - origin
             changed[r, vehicle] = True
             committed[col] = 0.0  # reset on a successful change
-            own_r, phi_r, prob_r = perceive(r)
-            own[r] = own_r[0]
-            later = cols[i + 1 :]
-            committed[later] = phi_r[0, later]
-            hits = i + 1 + (draw[r, i + 1 :] < prob_r[0, later]).nonzero()[0]
+            at = col
+            if true_of is not None:
+                at = seen_of[r, col]
+                view[at] = 1 - origin
+            update = _perceive_change(x, past, view, at, length)
+            if update is None:
+                own_n, adj_n, phi_n, prob_n = perceive(r)
+                own_r[:], adj_r[:] = own_n[0], adj_n[0]
+                later = cols[i + 1 :]
+                committed[later] = phi_n[0, later]
+                hits = (i + 1 + (draw[r, i + 1 :] < prob_n[0, later]).nonzero()[0]).tolist()
+                continue
+            # Scanned later, and the other lane now looks better where it did
+            # not, or no longer does.
+            turned = []
+            for k, own_k, adj_k in zip(*update):
+                if true_of is not None:
+                    k = true_of[r, k]
+                if place[k] > i and (own_k < adj_k) != (own_r[k] < adj_r[k]):
+                    turned.append(k)
+                own_r[k], adj_r[k] = own_k, adj_k
+            if turned:
+                phi_n, prob_n = _frustration(
+                    sorted_phis[r, turned], own_r[turned], adj_r[turned],
+                    sorted_pending[r, turned], lp, dt,
+                )
+                committed[turned] = phi_n
+                ranks = place[turned]
+                tries = ranks[draw[r, ranks] < prob_n]
+                hits = sorted(set(hits).difference(ranks.tolist()).union(tries.tolist()))
     phis = ring.unsort(phi)
     own = ring.unsort(own)
     state.phis = phis.reshape(shape)
@@ -596,16 +696,19 @@ def two_lane_step(
     passes = _count_passes(positions, new_positions, lanes, excluded, length, ring=ring)
     if passes.any():
         state.pending_passes = passes.reshape(shape)
-        for r, vehicle in zip(*passes.nonzero()):
-            lane = int(lanes[r, vehicle])
+        at = np.flatnonzero(passes)
+        for i, lane, phi_before in zip(
+            at.tolist(), lanes.ravel()[at].tolist(), phis.ravel()[at].tolist()
+        ):
+            r, vehicle = divmod(i, n)
             events[r].append(
                 LaneEvent(
                     time=state.time,
-                    vehicle=int(vehicle),
+                    vehicle=vehicle,
                     kind="pass",
                     from_lane=lane,
                     to_lane=lane,
-                    phi_before=float(phis[r, vehicle]),
+                    phi_before=phi_before,
                 )
             )
     return outcome

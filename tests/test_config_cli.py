@@ -21,7 +21,8 @@ from ringtraffic.cli import (
     main,
     run_scenario,
 )
-from ringtraffic.metrics import lane_change_count_series
+from ringtraffic.lane_change import _Samples, run_lockstep
+from ringtraffic.metrics import lane_change_count_series, lane_imbalance
 from ringtraffic.records import write_csv
 from ringtraffic.config import KINDS, load_config
 from ringtraffic.errors import ConfigurationError
@@ -634,6 +635,33 @@ def test_rolling_flow_window_equals_the_whole_record(load_balance_records, strid
             assert tables["replica"][1].tobytes() == lane_imbalance_series(record).tobytes()
             assert tables["flow"][0].tobytes() == due.tobytes()
             assert tables["flow"][1].tobytes() == flow_series(record, x, due, delta).tobytes()
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.75])
+def test_load_balance_sink_imbalance_equals_that_of_the_samples(delay):
+    # The sink keeps lane-1 counts and turns them into the imbalance when its
+    # tables are taken; the full samples of the same seeds give it directly.
+    # Under the delay two of the rows collide, so their last samples come early.
+    cfg = load_config(kind="load-balance", overrides=[
+        "t_end=8", f"delay={delay}", "record_stride=2", "delta_flow=1",
+    ])
+    run = dict(
+        n_lane0=cfg["n_vehicles"], delay=delay, dt=cfg["dt"], t_end=cfg["t_end"],
+        record_stride=cfg["record_stride"],
+    )
+    lp, seeds = LaneChangeParams(r=cfg["r"], p=cfg["p"]), [3, 4, 5]
+    sink, ends = run_lockstep(
+        cfg.params, lp, seeds, sink=lambda *shape: _LoadBalanceTables(cfg, *shape), **run
+    )
+    samples, sample_ends = run_lockstep(cfg.params, lp, seeds, sink=_Samples, **run)
+    assert [e.reason == "collision" for e in ends] == [False, delay > 0, delay > 0]
+    for r, end in enumerate(ends):
+        assert end.samples == sample_ends[r].samples
+        imbalance = sink.tables(r, end)["replica"][1]
+        expected = lane_imbalance(samples.lanes[r, : end.samples])
+        assert imbalance.dtype == expected.dtype
+        assert imbalance.tobytes() == expected.tobytes()
+        assert imbalance.max() > imbalance.min()
 
 
 def test_manifest_lists_only_the_seeds_used(tmp_path):

@@ -20,6 +20,7 @@ from ringtraffic.lane_change import (
     _count_passes,
     _frustration,
     _perceive,
+    _perceive_change,
     _Ring,
     _Samples,
     own_headways,
@@ -432,12 +433,11 @@ def ring_kernel_headways(positions, lanes, length):
     return whole, by_row
 
 
-def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
-    length = 1000.0
-    # One batch: ties (side by side, and a lap apart), lane 1 empty, lane 0
-    # empty, a vehicle alone in lane 1, one alone in lane 0 tied with a
-    # vehicle of lane 1 (both where (x + L) - x is not L), and one at a
-    # position that wraps to exactly L.
+def edge_fleet(length):
+    """One batch: ties (side by side, and a lap apart), lane 1 empty, lane 0
+    empty, a vehicle alone in lane 1, one alone in lane 0 tied with a vehicle
+    of lane 1 (both where (x + L) - x is not L), and one at a position that
+    wraps to exactly L."""
     positions = np.array(
         [
             [0.0, 0.0, 250.0, 250.0 + length, 500.0, 500.0 - 2 * length, 750.0, 750.0],
@@ -459,6 +459,12 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
         ],
         dtype=np.int8,
     )
+    return positions, lanes
+
+
+def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
+    length = 1000.0
+    positions, lanes = edge_fleet(length)
     assert positions[5, 0] % length == length
     assert ((positions[[3, 4], [3, 0]] + length) - positions[[3, 4], [3, 0]] != length).all()
     own, adj = perceived_headways(positions, lanes, length)
@@ -495,6 +501,47 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
         for kernel in (whole, by_row):
             assert kernel[0].tobytes() == own.tobytes()
             assert kernel[1].tobytes() == adj.tobytes()
+
+
+def test_local_update_matches_a_fresh_perception_after_one_change():
+    # After every single flip of every row of the edge batch and of random
+    # batches, the local update recomputes every column whose headways moved,
+    # bit for bit as the row's fresh perception has them, or declines where a
+    # lane now holds only the changer or none.
+    length = 1000.0
+    rng = np.random.default_rng(20)
+    batches = [edge_fleet(length)]
+    for trial in range(300):
+        n = (2, 3)[trial % 2] if trial % 3 == 0 else int(rng.integers(2, 12))
+        batches.append(random_fleet(rng, int(rng.integers(2, 7)), n, length))
+    declined = updated = tied = 0
+    for positions, lanes in batches:
+        rows, n = positions.shape
+        ring = _Ring.of(positions, length)
+        lane = ring.sort(lanes)
+        for r in range(rows):
+            near = ring.rows(r)
+            past = None if near.past is None else near.past[0]
+            before = _perceive(near, lane[r : r + 1], length)
+            for c in range(n):
+                flipped = lane[r].copy()
+                flipped[c] ^= 1
+                own, adj = (h[0] for h in _perceive(near, flipped[None], length))
+                update = _perceive_change(near.x[0], past, flipped, c, length)
+                if update is None:
+                    joined = np.count_nonzero(flipped == flipped[c])
+                    assert joined == 1 or joined == n
+                    declined += 1
+                    continue
+                columns, own_local, adj_local = update
+                assert len(set(columns)) == len(columns)
+                moved = (own != before[0][0]) | (adj != before[1][0])
+                assert set(np.flatnonzero(moved)) <= set(columns)
+                assert np.array(own_local).tobytes() == own[columns].tobytes()
+                assert np.array(adj_local).tobytes() == adj[columns].tobytes()
+                updated += 1
+                tied += past is not None and past[c] != c + 1
+    assert declined > 1000 and updated > 3000 and tied > 400
 
 
 def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
@@ -686,17 +733,55 @@ def lane_0_fleet(p):
     return init_two_lane(p, 50)
 
 
+def lone_lane_1_fleet(p):
+    """49 vehicles in lane 0 and one in lane 1, midway between two of them and
+    frustrated enough to change at once, which empties lane 1; the others
+    start calm, so the next change moves into the empty lane."""
+    state = init_two_lane(p, 49, 1, stagger=p.track_length / 98)
+    state.phis[-1] = 1e6
+    return state
+
+
+def level_fleet(p):
+    """The side-by-side layout with vehicle 25 of lane 0 level with vehicle 0
+    of the same lane, both frustrated enough to change at once: where one
+    does, it is level with a vehicle of the other lane, in one run of equal
+    positions; where neither does, the row collides."""
+    k = np.arange(25)
+    phis = np.random.default_rng(1).uniform(0.0, 3.0, 50)
+    phis[[0, 25]] = 1e6
+    return TwoLaneState(
+        positions=np.concatenate([40.0 * k, [0.0], 40.0 * k[:24] + 20.0]),
+        lanes=np.repeat(np.array([0, 1], dtype=np.int8), [26, 24]),
+        phis=phis,
+        lambdas=np.full(50, p.lambda_rate),
+    )
+
+
+def fleet_of_3(p):
+    """Two vehicles in lane 0 and one in lane 1, 250 m apart and frustrated:
+    most changes empty a lane or move into an empty one."""
+    state = init_two_lane(p, 2, 1, stagger=250.0)
+    state.phis[:] = 2.0
+    return state
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Fleet, lane-change parameters, seeds and the rows collided by delay of each
 # case.  The side-by-side fleet never has an empty lane; from lane 0 alone,
-# the load-balance regime, most replays start from one.
+# the load-balance regime, most replays start from one.  The last three cases
+# put a changer's local update at its edges: a change that empties a lane,
+# a changer in a run of equal positions, and a fleet of three.
 REFERENCE_CASES = {
     "one-run": (side_by_side_fleet, LaneChangeParams(r=0.5, p=1.0), [5], {0.0: 0, 0.75: 1}),
     "batch": (side_by_side_fleet, LaneChangeParams(r=0.5, p=1.0), [1, 2, 3, 4, 5, 6], {0.0: 0, 0.75: 6}),
     "lane-0": (lane_0_fleet, LaneChangeParams(r=0.1, p=0.2), list(range(11, 19)), {0.0: 0, 0.75: 8}),
+    "lone-lane-1": (lone_lane_1_fleet, LaneChangeParams(r=0.5, p=1.0), list(range(21, 29)), {0.0: 0, 0.75: 8}),
+    "level": (level_fleet, LaneChangeParams(r=0.5, p=1.0), list(range(31, 39)), {0.0: 1, 0.75: 8}),
+    "fleet-of-3": (fleet_of_3, LaneChangeParams(r=0.5, p=1.0), list(range(41, 47)), {0.0: 0, 0.75: 0}),
 }
 
 
