@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .core import (
     FundamentalDiagramSummary,
     ModelParams,
-    equilibrium_flow,
     fundamental_diagram_curve,
     fundamental_diagram_summary,
     velocity_from_headway,
@@ -17,7 +16,6 @@ from .lane_change import (
     adjacent_headways,
     init_two_lane,
     run_two_lane,
-    safety_gap_check,
     two_lane_step,
 )
 from .metrics import (
@@ -30,7 +28,6 @@ from .metrics import (
     flow_series,
     growth_rate_from_record,
     lane_imbalance,
-    lane_imbalance_series,
 )
 from .records import CollisionReport, LaneEvent, TrajectoryRecord
 from .single_lane import (
@@ -55,7 +52,6 @@ __all__ = [
     "ModelParams",
     "FundamentalDiagramSummary",
     "velocity_from_headway",
-    "equilibrium_flow",
     "fundamental_diagram_curve",
     "fundamental_diagram_summary",
     "HistoryBuffer",
@@ -77,7 +73,6 @@ __all__ = [
     "TwoLaneState",
     "init_two_lane",
     "adjacent_headways",
-    "safety_gap_check",
     "two_lane_step",
     "run_two_lane",
     "FlowField",
@@ -88,6 +83,5 @@ __all__ = [
     "fit_growth_rate",
     "growth_rate_from_record",
     "lane_imbalance",
-    "lane_imbalance_series",
     "aggregate_monte_carlo",
 ]

@@ -249,6 +249,9 @@ def _validate(kind: str, v: dict) -> None:
     for key in ("perturb_vehicle", "aggressive_vehicle", "control_vehicle"):
         if v.get(key) is not None and not 0 <= v[key] < v["n_vehicles"]:
             raise ConfigurationError(f"{key} {v[key]} out of range 0..{v['n_vehicles'] - 1}")
+    for key in ("delay_grid", "n_list"):
+        if key in v and not v[key]:
+            raise ConfigurationError(f"{key} must not be empty")
     if any(d < 0 for d in v.get("delay_grid", ())):
         raise ConfigurationError("delay_grid entries must be nonnegative")
     if any(n < 2 for n in v.get("n_list", ())):

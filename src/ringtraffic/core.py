@@ -89,20 +89,6 @@ def velocity_from_headway(headway, p: ModelParams):
     return v
 
 
-def equilibrium_flow(rho, p: ModelParams):
-    """Equilibrium flow rate q = rho * v(1/rho) for density ``rho`` (vehicles/m).
-
-    Accepts a scalar or an array of densities; every density must be positive.
-    """
-    r = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise ParameterError(f"density must be finite and positive, got {rho!r}")
-    q = r * _velocity(1.0 / r, p.lambda_rate, p)
-    if np.isscalar(rho) or np.ndim(rho) == 0:
-        return float(q)
-    return q
-
-
 def fundamental_diagram_curve(p: ModelParams, rho):
     """Equilibrium velocity and flow on a density grid.
 

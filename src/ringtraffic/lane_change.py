@@ -313,16 +313,9 @@ def _perceive_change(x, past, lane, c, track_length):
 
 
 def _headways(positions_ref, lanes, track_length):
-    """:func:`_perceive` on the given positions, in vehicle order and the
-    shape of ``lanes``."""
-    lanes, shape = _by_row(lanes)
-    ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
-    return [ring.unsort(h).reshape(shape) for h in _perceive(ring, ring.sort(lanes), track_length)]
-
-
-def perceived_headways(positions_ref, lanes, track_length: float):
     """In-lane and other-lane headways of every vehicle on the given
-    positions, row by row, from one sort of each row.
+    positions, row by row, in vehicle order and the shape of ``lanes``:
+    :func:`_perceive` on one sort of each row.
 
     The in-lane headway runs to the next vehicle of the same lane; a vehicle
     alone in its lane faces its own periodic image, headway exactly L.  The
@@ -330,16 +323,18 @@ def perceived_headways(positions_ref, lanes, track_length: float):
     lane: a vehicle exactly side-by-side is not ahead, so the next one (or its
     image one lap ahead) counts, and it is infinite when that lane is empty.
     """
-    return tuple(_headways(positions_ref, lanes, track_length))
+    lanes, shape = _by_row(lanes)
+    ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
+    return [ring.unsort(h).reshape(shape) for h in _perceive(ring, ring.sort(lanes), track_length)]
 
 
 def own_headways(positions_ref, lanes, track_length: float) -> np.ndarray:
-    """The in-lane half of :func:`perceived_headways`."""
+    """The in-lane half of :func:`_headways`."""
     return _headways(positions_ref, lanes, track_length)[0]
 
 
 def adjacent_headways(positions_ref, lanes, track_length: float) -> np.ndarray:
-    """The other-lane half of :func:`perceived_headways`."""
+    """The other-lane half of :func:`_headways`."""
     return _headways(positions_ref, lanes, track_length)[1]
 
 
@@ -356,41 +351,32 @@ def _frustration(phi, own, adj, passes, lp: LaneChangeParams, dt: float):
     return phi, 1.0 - (1.0 - TWO_OVER_PI * np.arctan(phi)) ** dt
 
 
-def safety_gap_check(
-    state: TwoLaneState, vehicle: int, p: ModelParams, ring=None, column=None, lanes=None
-) -> bool:
+def safety_gap_check(ring, column: int, lanes, p: ModelParams) -> bool:
     """True when no adjacent-lane vehicle sits within the closed interval
-    ``[x - d_min, x + d_min]`` around the vehicle (true positions).
+    ``[x - d_min, x + d_min]`` around the vehicle at ``column`` of the one-row
+    ``ring`` of true positions (``ring.rows(r)`` for row ``r`` of a batch),
+    with the row's ``lanes`` in ring order.
 
-    Only the vehicle's neighbours in the sorted ring of the true positions
-    can be that near: the walk goes forward, then backward, until the gap
-    exceeds ``d_min``.  Gaps grow along each walk, save for vehicles tied
-    with this one, which sit at the start of one walk and at the end of the
-    other.  ``ring`` is the ring of the vehicle's row (``ring.rows(r)`` for
-    row ``r`` of a batch state); it is built here for a state of one run
-    when not given.  A caller that holds the vehicle's ``column`` in that
-    ring and the row's ``lanes`` in ring order passes them too; both are
-    found here otherwise.
+    Only the vehicle's neighbours in the ring can be that near: the walk goes
+    forward, then backward, until the gap exceeds ``d_min``.  Gaps grow along
+    each walk, save for vehicles tied with this one, which sit at the start
+    of one walk and at the end of the other.
     """
-    if ring is None:
-        ring = _Ring.of(state.positions.reshape(1, -1), p.track_length)
     x = ring.x[0]
-    lane = ring.sort(state.lanes)[0] if lanes is None else lanes
     n = len(x)
-    i = int((ring.order[0] == vehicle).nonzero()[0][0]) if column is None else int(column)
-    other = 1 - lane[i]
-    here, length = x[i], p.track_length
+    other = 1 - lanes[column]
+    here, length = x[column], p.track_length
     for step in (1, -1):
         for k in range(1, n):
-            j = (i + step * k) % n
+            j = (column + step * k) % n
             if (step * (x[j] - here)) % length > p.d_min:
                 break
-            if lane[j] == other:
+            if lanes[j] == other:
                 return False
     return True
 
 
-def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -> np.ndarray:
+def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring) -> np.ndarray:
     """Per-vehicle count of adjacent-lane vehicles that moved from behind
     (offset <= 0) to ahead (> 0) during the step, once per lap, row by row;
     excluded vehicles neither receive nor contribute events.
@@ -402,19 +388,16 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring=None) -
     Only pairs whose wrapped distance at the step start is within their
     row's largest relative move (plus :data:`PASS_MARGIN` of the track) can
     cross.  The window is the largest over the rows: a wider one adds only
-    pairs that count 0.  One sort per row finds them (``ring``, that of
-    ``prev_pos``, when the caller has built it): the walk looks k = 1, 2, ...
-    places ahead of every vehicle in the sorted ring until no vehicle has a
-    partner that near k places on.  A pair near both ways round is kept once,
-    and every kept pair is counted in both directions.  A step that laps the
-    ring widens the window to every pair.
+    pairs that count 0.  The ``ring`` of ``prev_pos`` finds them: the walk
+    looks k = 1, 2, ... places ahead of every vehicle in the sorted ring
+    until no vehicle has a partner that near k places on.  A pair near both
+    ways round is kept once, and every kept pair is counted in both
+    directions.  A step that laps the ring widens the window to every pair.
     """
     prev_pos, new_pos, lanes, excluded, shape = _by_row(prev_pos, new_pos, lanes, excluded)
     rows, n = prev_pos.shape
     move = new_pos - prev_pos
     reach = min(move.max() - move.min() + PASS_MARGIN * track_length, track_length)
-    if ring is None:
-        ring = _Ring.of(prev_pos, track_length)
     x, ahead = ring.x, ring.ahead
     # 0 or 1 by lane, 2 when excluded: a pair counts when its codes sum to 1.
     code = None
@@ -589,9 +572,7 @@ def two_lane_step(
             i = hits.pop(0)
             col = int(cols[i])
             vehicle = near.order[0, col]
-            if not safety_gap_check(
-                state, vehicle, p, ring=near, column=col, lanes=sorted_lanes[r]
-            ):
+            if not safety_gap_check(near, col, sorted_lanes[r], p):
                 continue
             if place is None:
                 # The perceived ring's positions, runs and lanes, and the scan
@@ -693,7 +674,7 @@ def two_lane_step(
     hist.push(state.positions)
     state.time = round(state.time + dt, 12)
 
-    passes = _count_passes(positions, new_positions, lanes, excluded, length, ring=ring)
+    passes = _count_passes(positions, new_positions, lanes, excluded, length, ring)
     if passes.any():
         state.pending_passes = passes.reshape(shape)
         at = np.flatnonzero(passes)

@@ -148,7 +148,7 @@ def growth_rate_from_record(record: TrajectoryRecord, vehicle: int = 0) -> Growt
         raise InsufficientDataError(f"record spans {cycles:.3g} periods of the k=1 mode")
     v_eq = velocity_from_headway(p.track_length / n, p)
     spacing = float(record.times[1] - record.times[0])
-    f = windowed_amplitudes(record.vehicle_velocity(vehicle), v_eq, spacing, 2.0 * math.pi / omega)
+    f = windowed_amplitudes(record.velocities[:, vehicle], v_eq, spacing, 2.0 * math.pi / omega)
     return fit_growth_rate(f[1:])
 
 
@@ -159,13 +159,6 @@ def lane_imbalance(lanes):
     lanes = np.asarray(lanes)
     diff = np.abs(lanes.shape[-1] - 2 * lanes.sum(axis=-1, dtype=np.int64))
     return int(diff) if np.ndim(diff) == 0 else diff
-
-
-def lane_imbalance_series(record: TrajectoryRecord) -> np.ndarray:
-    """Lane imbalance at every recorded sample of a two-lane run."""
-    if record.lanes is None:
-        raise ParameterError("record does not carry lane assignments")
-    return lane_imbalance(record.lanes)
 
 
 def lane_change_count_series(events, vehicle: int, times) -> np.ndarray:

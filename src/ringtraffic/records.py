@@ -62,9 +62,6 @@ class TrajectoryRecord:
     def n_vehicles(self) -> int:
         return self.positions.shape[-1]
 
-    def vehicle_velocity(self, vehicle: int) -> np.ndarray:
-        return self.velocities[:, vehicle]
-
     def positions_at(self, t) -> np.ndarray:
         """Linearly interpolated unwrapped positions of all vehicles at ``t``:
         a sample's shape, ``(N,)`` or ``(..., N)``, per time, stacked for an array of times."""

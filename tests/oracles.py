@@ -18,8 +18,9 @@ from ringtraffic.lane_change import (
     TwoLaneState,
     _count_passes,
     _frustration,
+    _Ring,
+    adjacent_headways,
     own_headways,
-    perceived_headways,
 )
 from ringtraffic.records import LaneEvent
 from ringtraffic.single_lane import closed, find_collisions
@@ -60,6 +61,20 @@ def characteristic_roots(eigenvalue, delay):
     return roots
 
 
+def ring_of(positions, length):
+    """The ring of ``(N,)`` or ``(R, N)`` unwrapped positions, one row per run."""
+    return _Ring.of(positions.reshape(-1, positions.shape[-1]), length)
+
+
+def gap_arguments(state, vehicle, p):
+    """What the step hands :func:`safety_gap_check` for ``vehicle`` of a state
+    of one run: the ring of its positions, the vehicle's column in it and the
+    lanes in ring order."""
+    ring = ring_of(state.positions, p.track_length)
+    column = int(np.flatnonzero(ring.order[0] == vehicle)[0])
+    return ring, column, ring.sort(state.lanes)[0]
+
+
 def detect_passes(prev_state, new_state, p):
     """Pass counts between two consecutive two-lane states.
 
@@ -68,7 +83,8 @@ def detect_passes(prev_state, new_state, p):
     """
     excluded = prev_state.lanes != new_state.lanes
     return _count_passes(
-        prev_state.positions, new_state.positions, new_state.lanes, excluded, p.track_length
+        prev_state.positions, new_state.positions, new_state.lanes, excluded, p.track_length,
+        ring_of(prev_state.positions, p.track_length),
     )
 
 
@@ -123,7 +139,8 @@ def reference_step(state, ref_positions, lp, p, dt, rng):
     u[scan] = rng.random(n)
 
     def perceive():
-        own, adj = perceived_headways(ref_positions, lanes, length)
+        own = own_headways(ref_positions, lanes, length)
+        adj = adjacent_headways(ref_positions, lanes, length)
         return (own, *_frustration(state.phis, own, adj, state.pending_passes, lp, dt))
 
     own, phis, prob = perceive()
@@ -168,7 +185,9 @@ def reference_step(state, ref_positions, lp, p, dt, rng):
 
     after.positions = positions + dt * velocities
     after.time = round(state.time + dt, 12)
-    after.pending_passes = _count_passes(positions, after.positions, lanes, changed, length)
+    after.pending_passes = _count_passes(
+        positions, after.positions, lanes, changed, length, ring_of(positions, length)
+    )
     for vehicle in np.flatnonzero(after.pending_passes):
         lane = int(lanes[vehicle])
         events.append(

@@ -15,7 +15,7 @@ from ringtraffic import (
     LaneChangeParams,
     closed_form_eigenvalues,
     critical_reaction_time,
-    equilibrium_flow,
+    fundamental_diagram_curve,
     fundamental_diagram_summary,
     max_growth_rate,
     run_single_lane,
@@ -52,7 +52,7 @@ def test_criterion_1_fundamental_diagram(table1_params):
 
 
 def test_criterion_2_equilibrium_flow(table1_params):
-    q = equilibrium_flow(0.05, table1_params)
+    q = float(fundamental_diagram_curve(table1_params, 0.05)[1])
     ok = 0.53 <= q <= 0.54
     verdict("2 equilibrium flow at N=50", ok, f"q={q:.4f} veh/s")
     assert ok

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ringtraffic import LaneChangeParams, flow_series, lane_imbalance_series, run_two_lane
+from ringtraffic import LaneChangeParams, flow_series, lane_imbalance, run_two_lane
 from ringtraffic.cli import (
     EXIT_COLLISION,
     EXIT_CONFIG,
@@ -94,6 +94,14 @@ def test_bad_set_items_exit_2(tmp_path, capsys, item, message):
     out = tmp_path / "sl"
     assert main(["single-lane", "--out", str(out), "--quiet", "--set", item]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key", [("tau-curve", "n_list"), ("stability", "delay_grid")])
+def test_an_empty_grid_exits_2(tmp_path, capsys, kind, key):
+    out = tmp_path / "out"
+    assert main([kind, "--out", str(out), "--quiet", "--set", f"{key}=[]"]) == EXIT_CONFIG
+    assert f"{key} must not be empty" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -518,7 +526,7 @@ def test_replica_tables_equal_whole_record_reductions_through_collisions(tmp_pat
                 record = run_two_lane(cfg.params, lp, n_lane0=50, **run)
                 flow_times = record.times[record.times >= cfg["delta_flow"]]
                 tables = {
-                    "replica": [record.times, lane_imbalance_series(record)],
+                    "replica": [record.times, lane_imbalance(record.lanes)],
                     "flow": [flow_times, flow_series(record, x, flow_times, cfg["delta_flow"])],
                 }
             else:
@@ -632,7 +640,7 @@ def test_rolling_flow_window_equals_the_whole_record(load_balance_records, strid
             tables = sink.tables(r, SimpleNamespace(samples=len(steps)))
             due = record.times[record.times >= delta]
             assert tables["replica"][0].tobytes() == record.times.tobytes()
-            assert tables["replica"][1].tobytes() == lane_imbalance_series(record).tobytes()
+            assert tables["replica"][1].tobytes() == lane_imbalance(record.lanes).tobytes()
             assert tables["flow"][0].tobytes() == due.tobytes()
             assert tables["flow"][1].tobytes() == flow_series(record, x, due, delta).tobytes()
 

@@ -5,7 +5,6 @@ import pytest
 
 from ringtraffic import (
     ModelParams,
-    equilibrium_flow,
     fundamental_diagram_curve,
     fundamental_diagram_summary,
     velocity_from_headway,
@@ -54,29 +53,29 @@ def test_params_invariants():
 
 
 def test_equilibrium_flow_at_density_50_vehicles(table1_params):
-    q = equilibrium_flow(0.05, table1_params)
+    q = float(fundamental_diagram_curve(table1_params, 0.05)[1])
     assert q == pytest.approx(0.05 * V_AT_20, abs=1e-12)
     assert 0.53 <= q <= 0.54
 
 
 def test_equilibrium_flow_vanishes_at_jam(table1_params):
-    assert equilibrium_flow(1.0 / 7.5, table1_params) == 0.0
+    assert fundamental_diagram_curve(table1_params, 1.0 / 7.5)[1] == 0.0
 
 
 def test_equilibrium_flow_vanishes_at_low_density(table1_params):
-    assert equilibrium_flow(1e-9, table1_params) < 1e-6
+    assert fundamental_diagram_curve(table1_params, 1e-9)[1] < 1e-6
 
 
 def test_equilibrium_flow_rejects_nonpositive_density(table1_params):
     with pytest.raises(ParameterError):
-        equilibrium_flow(0.0, table1_params)
+        fundamental_diagram_curve(table1_params, 0.0)
     with pytest.raises(ParameterError):
-        equilibrium_flow(-0.01, table1_params)
+        fundamental_diagram_curve(table1_params, -0.01)
 
 
 def test_flow_unimodal_on_table1(table1_params):
     rho = np.linspace(1e-4, table1_params.rho_jam - 1e-9, 5000)
-    q = equilibrium_flow(rho, table1_params)
+    _, q = fundamental_diagram_curve(table1_params, rho)
     sign_changes = np.diff(np.sign(np.diff(q)))
     assert np.count_nonzero(sign_changes) == 1
 
@@ -91,7 +90,7 @@ def test_summary_matches_paper_values(table1_params):
 def test_summary_against_brute_force_grid(table1_params):
     s = fundamental_diagram_summary(table1_params)
     rho = np.linspace(1e-6, table1_params.rho_jam - 1e-9, 2_000_001)
-    brute = equilibrium_flow(rho, table1_params).max()
+    brute = fundamental_diagram_curve(table1_params, rho)[1].max()
     assert abs(s.q_star - brute) <= 1e-3 * brute
 
 
@@ -109,7 +108,8 @@ def test_summary_is_the_stationary_point(params):
     a = params.lambda_rate / params.v_max
     h = 1.0 / s.rho_star
     assert (1.0 + a * h) * math.exp(-a * (h - params.d_min)) == pytest.approx(1.0, abs=1e-12)
-    assert s.q_star == pytest.approx(equilibrium_flow(s.rho_star, params), rel=1e-12)
+    _, q = fundamental_diagram_curve(params, s.rho_star)
+    assert s.q_star == pytest.approx(float(q), rel=1e-12)
 
 
 @pytest.mark.parametrize(

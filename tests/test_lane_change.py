@@ -12,7 +12,6 @@ from ringtraffic import (
     init_two_lane,
     run_single_lane,
     run_two_lane,
-    safety_gap_check,
     two_lane_step,
 )
 from ringtraffic.errors import ParameterError
@@ -24,13 +23,21 @@ from ringtraffic.lane_change import (
     _Ring,
     _Samples,
     own_headways,
-    perceived_headways,
     run_lockstep,
+    safety_gap_check,
 )
-from ringtraffic.metrics import lane_imbalance_series
+from ringtraffic.metrics import lane_imbalance
+from ringtraffic.records import TERMINATED_COLLISION
 from ringtraffic.single_lane import ring_crossings
 
-from oracles import detect_passes, frustration_law, full_lane_gap_is_clear, reference_step
+from oracles import (
+    detect_passes,
+    frustration_law,
+    full_lane_gap_is_clear,
+    gap_arguments,
+    reference_step,
+    ring_of,
+)
 
 
 def make_state(positions0, positions1, p, phis=None, lambdas=None):
@@ -153,21 +160,21 @@ def test_per_step_probability_dominance():
 
 def test_safety_gap_empty_lane(table1_params):
     state = make_state([100.0], [], table1_params)
-    assert safety_gap_check(state, 0, table1_params)
+    assert safety_gap_check(*gap_arguments(state, 0, table1_params), table1_params)
 
 
 def test_safety_gap_closed_interval(table1_params):
     blocked = make_state([100.0], [107.5], table1_params)  # exactly x + d_min
-    assert not safety_gap_check(blocked, 0, table1_params)
+    assert not safety_gap_check(*gap_arguments(blocked, 0, table1_params), table1_params)
     clear = make_state([100.0], [107.51], table1_params)
-    assert safety_gap_check(clear, 0, table1_params)
+    assert safety_gap_check(*gap_arguments(clear, 0, table1_params), table1_params)
     behind = make_state([100.0], [92.5], table1_params)  # exactly x - d_min
-    assert not safety_gap_check(behind, 0, table1_params)
+    assert not safety_gap_check(*gap_arguments(behind, 0, table1_params), table1_params)
 
 
 def test_safety_gap_wraps_around_origin(table1_params):
     state = make_state([999.0], [3.0], table1_params)  # 4 m ahead across the wrap
-    assert not safety_gap_check(state, 0, table1_params)
+    assert not safety_gap_check(*gap_arguments(state, 0, table1_params), table1_params)
 
 
 def test_safety_gap_walk_matches_the_full_lane_scan():
@@ -185,7 +192,7 @@ def test_safety_gap_walk_matches_the_full_lane_scan():
             state = TwoLaneState(positions[0], lanes[0], np.zeros(n), np.ones(n))
             for vehicle in range(n):
                 expected = full_lane_gap_is_clear(state.positions, state.lanes, vehicle, p)
-                assert safety_gap_check(state, vehicle, p) == expected
+                assert safety_gap_check(*gap_arguments(state, vehicle, p), p) == expected
                 blocked += not expected
     assert blocked > 500
 
@@ -289,7 +296,7 @@ def test_count_passes_matches_per_pair_reference():
                 # passes: multiples of L in [before, after) of j's offset ahead of i
                 before, after = prev[j] - prev[i], new[j] - new[i]
                 expected[i] += max(0, math.ceil(after / length) - math.ceil(before / length))
-        counts = _count_passes(prev, new, lanes, excluded, length)
+        counts = _count_passes(prev, new, lanes, excluded, length, ring_of(prev, length))
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, expected)
     # Batches of rows, each against the all-pairs count, with moves up to a
@@ -301,7 +308,7 @@ def test_count_passes_matches_per_pair_reference():
             prev, new = map(np.array, zip(*steps))
             lanes = rng.integers(0, 2, (rows, n)).astype(np.int8)
             excluded = rng.random((rows, n)) < 0.1
-            counts = _count_passes(prev, new, lanes, excluded, length)
+            counts = _count_passes(prev, new, lanes, excluded, length, ring_of(prev, length))
             assert counts.dtype == np.int64
             for r in range(rows):
                 expected = all_pairs_passes(prev[r], new[r], lanes[r], excluded[r], length)
@@ -396,25 +403,23 @@ def test_perceived_headways_match_the_two_sort_references():
         for _ in range(1500):
             rows, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
             positions, lanes = random_fleet(rng, rows, n, length)
-            own, adj = perceived_headways(positions, lanes, length)
+            own = own_headways(positions, lanes, length)
+            adj = adjacent_headways(positions, lanes, length)
             expected_own = oracle_own_headways(positions, lanes, length)
             expected_adj = oracle_adjacent_headways(positions, lanes, length)
             assert own.tobytes() == expected_own.tobytes()
             assert adj.tobytes() == expected_adj.tobytes()
-            assert own_headways(positions, lanes, length).tobytes() == own.tobytes()
-            assert adjacent_headways(positions, lanes, length).tobytes() == adj.tobytes()
             in_lane1 = lanes.sum(axis=1)
             lone += np.count_nonzero((in_lane1 == 1) | (in_lane1 == n - 1))
             empty += np.count_nonzero((in_lane1 == 0) | (in_lane1 == n))
-            one_row = perceived_headways(positions[0], lanes[0], length)
-            assert one_row[0].tobytes() == own[0].tobytes()
-            assert one_row[1].tobytes() == adj[0].tobytes()
+            assert own_headways(positions[0], lanes[0], length).tobytes() == own[0].tobytes()
+            assert adjacent_headways(positions[0], lanes[0], length).tobytes() == adj[0].tobytes()
     assert lone > 1000 and empty > 1000
     # Alone in its lane, a vehicle gets exactly L even where (x + L) - x is not L.
     x = np.array([[0.1 + 0.2, 500.0], [123.456, 987.654321]])
     lanes = np.array([[0, 1], [1, 0]], dtype=np.int8)
     assert ((x + 1000.0) - x != 1000.0).any()
-    own, adj = perceived_headways(x, lanes, 1000.0)
+    own = own_headways(x, lanes, 1000.0)
     np.testing.assert_array_equal(own, 1000.0)
     np.testing.assert_array_equal(oracle_own_headways(x, lanes, 1000.0), 1000.0)
 
@@ -467,7 +472,8 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
     positions, lanes = edge_fleet(length)
     assert positions[5, 0] % length == length
     assert ((positions[[3, 4], [3, 0]] + length) - positions[[3, 4], [3, 0]] != length).all()
-    own, adj = perceived_headways(positions, lanes, length)
+    own = own_headways(positions, lanes, length)
+    adj = adjacent_headways(positions, lanes, length)
     assert own.tobytes() == oracle_own_headways(positions, lanes, length).tobytes()
     assert adj.tobytes() == oracle_adjacent_headways(positions, lanes, length).tobytes()
     whole, by_row = ring_kernel_headways(positions, lanes, length)
@@ -475,9 +481,8 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
         assert kernel[0].tobytes() == own.tobytes()
         assert kernel[1].tobytes() == adj.tobytes()
     for r in range(len(positions)):
-        one_row = perceived_headways(positions[r], lanes[r], length)
-        assert one_row[0].tobytes() == own[r].tobytes()
-        assert one_row[1].tobytes() == adj[r].tobytes()
+        assert own_headways(positions[r], lanes[r], length).tobytes() == own[r].tobytes()
+        assert adjacent_headways(positions[r], lanes[r], length).tobytes() == adj[r].tobytes()
     assert np.all(adj[1] == np.inf) and np.all(adj[2] == np.inf)
     assert own[3, 3] == length and own[4, 0] == length
     assert adj[0, 0] == 250.0  # the side-by-side vehicle is not ahead
@@ -488,7 +493,8 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
         (np.array([[5.0, 5.0 + length]]), np.array([[1, 1]], dtype=np.int8)),
     ):
         whole, by_row = ring_kernel_headways(positions, lanes, length)
-        own, adj = perceived_headways(positions, lanes, length)
+        own = own_headways(positions, lanes, length)
+        adj = adjacent_headways(positions, lanes, length)
         for kernel in (whole, by_row):
             assert kernel[0].tobytes() == own.tobytes()
             assert kernel[1].tobytes() == adj.tobytes()
@@ -497,7 +503,8 @@ def test_ring_order_kernel_matches_perceived_headways_at_the_edges():
         rows, n = int(rng.integers(2, 7)), int(rng.integers(1, 12))
         positions, lanes = random_fleet(rng, rows, n, length)
         whole, by_row = ring_kernel_headways(positions, lanes, length)
-        own, adj = perceived_headways(positions, lanes, length)
+        own = own_headways(positions, lanes, length)
+        adj = adjacent_headways(positions, lanes, length)
         for kernel in (whole, by_row):
             assert kernel[0].tobytes() == own.tobytes()
             assert kernel[1].tobytes() == adj.tobytes()
@@ -602,7 +609,7 @@ def test_staggered_equilibrium_executes_no_changes(table1_params):
 def test_load_balancing_populates_empty_lane(table1_params):
     lp = LaneChangeParams(r=0.1, p=0.2, rng_seed=42)
     record = run_two_lane(table1_params, lp, n_lane0=50, dt=0.05, t_end=40.0)
-    imbalance = lane_imbalance_series(record)
+    imbalance = lane_imbalance(record.lanes)
     assert imbalance[0] == 50
     assert imbalance[-1] < 20  # both lanes populated within tens of seconds
     assert any(e.kind == "lane_change" for e in record.events)
@@ -879,6 +886,46 @@ def test_tracer_counters_read_the_step_truthfully(table1_params, monkeypatch):
     assert len(checks) == attempts > sum(checks) > 0
     assert sum(checks) == sum(e.kind == "lane_change" for e in events)
     assert sum(int(c.sum()) for c in passes) == sum(e.kind == "pass" for e in events) > 0
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.1])
+def test_first_change_follows_the_exact_law(table1_params, dt):
+    # From a lane-0 start with lane 1 empty, every attempt passes the safety
+    # gap and nobody is passed before the first change.  So in step k = 1, 2,
+    # ... every vehicle's frustration is k r dt (the ramp comes before the
+    # draw) and it attempts with probability 1 - (1 - (2/pi) atan(k r dt))**dt.
+    # A change in step k carries the step's start time (k - 1) dt, so
+    # P(T1 > (k - 1) dt) = prod_{j <= k} (1 - (2/pi) atan(j r dt))**(N dt).
+    n, r, t_end, seeds = 50, 0.1, 3.0, range(1000, 2000)
+    steps = round(t_end / dt)
+    _, ends = run_lockstep(
+        table1_params, LaneChangeParams(r=r, p=0.2), seeds, n_lane0=n, dt=dt, t_end=t_end,
+        record_stride=steps, sink=_Samples,
+    )
+    first = [next((e.time for e in end.events if e.kind == "lane_change"), t_end) for end in ends]
+    assert max(first) < t_end  # every row changed lanes
+    k = np.round(np.array(first) / dt).astype(int) + 1
+    j = np.arange(1, steps + 1)
+    law = 1.0 - np.cumprod((1.0 - 2.0 / math.pi * np.arctan(j * r * dt)) ** (n * dt))
+    empirical = np.cumsum(np.bincount(k, minlength=steps + 1)[1:]) / len(seeds)
+    # Both distributions live on the step times, so the largest gap between
+    # them there is the Kolmogorov-Smirnov distance; 1.36 / sqrt(rows) is its
+    # 5% critical value.
+    assert np.abs(empirical - law).max() < 1.36 / math.sqrt(len(seeds))
+
+
+@pytest.mark.parametrize("delay, collided", [(0.3, 0), (0.7, 16)])
+def test_delayed_lane_changes_crash_on_one_side_of_the_boundary(table1_params, delay, collided):
+    # A 35/15 split on seeds 100-115: no run collides at 0.3 s, every run at
+    # 0.7 s.  Perception takes positions a delay ago but lanes as they are,
+    # so a changer and its new leader can see each other in the wrong order.
+    dt, t_end = 0.05, 300.0
+    _, ends = run_lockstep(
+        table1_params, LaneChangeParams(r=0.1, p=0.2), range(100, 116), n_lane0=35,
+        n_lane1=15, delay=delay, dt=dt, t_end=t_end, record_stride=round(t_end / dt),
+        sink=_Samples,
+    )
+    assert sum(end.reason == TERMINATED_COLLISION for end in ends) == collided
 
 
 def test_lane_change_params_validation():
