@@ -236,7 +236,7 @@ def load_config(
 def _validate(kind: str, v: dict) -> None:
     """Check every key the kind holds; a key means the same in every kind."""
     ModelParams(**v["params"])  # raises ParameterError on bad physics
-    for key in ("replicas", "record_stride"):
+    for key in ("replicas", "record_stride", "flow_grid_nt", "flow_grid_nx"):
         if key in v and v[key] < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {v[key]}")
     for key in ("dt", "t_end", "delta_flow", "rho_resolution_per_km", "aggressive_lambda"):

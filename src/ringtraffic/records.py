@@ -151,27 +151,20 @@ _INT_HOLES = np.array(
 )
 
 
+# The ASCII digits of each k < 10**4, zero-padded to four, the most
+# significant in the lowest byte: one axis per digit of k, in C order.
+_D = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+_DIGITS4 = (_D[:, None, None, None] | _D[:, None, None] << 8 | _D[:, None] << 16 | _D << 24).ravel()
+
+
 def _digits8(x):
-    """ASCII digits of each ``x < 10**8`` (uint64), zero-padded to eight: one
+    """ASCII digits of each ``x < 10**8`` (intp), zero-padded to eight: one
     word per value, most significant digit first in little-endian memory order."""
-    hi = x // 10000
-    v = x - hi * 10000
-    v <<= 32
-    v |= hi  # two lanes of four digits
-    q = v * 10486
-    q >>= 20
-    q &= 0x0000007F0000007F  # each lane // 100
-    v -= q * 100
-    v <<= 16
-    v |= q  # four lanes of two digits
-    q = v * 103
-    q >>= 10
-    q &= 0x000F000F000F000F  # each lane // 10
-    v -= q * 10
-    v <<= 8
-    v |= q
-    v += 0x30 * _ONES
-    return v
+    hi = x // 10**4
+    words = _DIGITS4[x - hi * 10**4]
+    words <<= 32
+    words |= _DIGITS4[hi]
+    return words
 
 
 def _nonzero_digits(chars):
@@ -260,7 +253,7 @@ def _float_field(values):
     np.floor(frac / 1e8, out=parts[lo + 1])
     if two_frac:
         parts[lo + 2] = frac - parts[lo + 1] * 1e8
-    words = _digits8(parts.astype(np.uint64))
+    words = _digits8(parts.astype(np.intp))
 
     # Leading zeros of the integer part are holes; its units digit stays.
     words[: lo + 1] |= _INT_HOLES[1 - lo :, p]
@@ -312,7 +305,10 @@ def write_csv(path, metadata_lines, columns, values) -> None:
     (a time column ``(S, 1)``, a vehicle column ``(N,)``) is formatted once
     per write and each block takes a slice of it; full-shape columns are
     formatted block by block, about ``CHUNK_ROWS`` values at a time along the
-    leading axis, so broadcast inputs are never expanded whole.
+    leading axis, so broadcast inputs are never expanded whole.  A table of
+    more than one block is written by one helper thread, a block behind the
+    formatting, which ends before this returns or raises; its exception is
+    raised here.
     """
     arrays = [np.asarray(v) for v in values]
     if not columns or len(columns) != len(arrays):
@@ -328,23 +324,43 @@ def write_csv(path, metadata_lines, columns, values) -> None:
             chars = _chars(a)
             once[i] = np.broadcast_to(chars, shape[:1] + chars.shape[1:])
     step = max(1, CHUNK_ROWS // max(1, math.prod(shape[1:])))
+    starts = range(0, shape[0], step)
+
+    def fields(start):
+        rows = slice(start, start + step)
+        return [once[i][rows] if i in once else _chars(a[rows]) for i, a in enumerate(arrays)]
+
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*metadata_lines, ",".join(columns)]).encode("utf-8"))
-        for start in range(0, shape[0], step):
-            stop = start + step
-            blocks = [
-                once[i][start:stop] if i in once else _chars(a[start:stop]) for i, a in enumerate(arrays)
-            ]
-            rows = min(step, shape[0] - start)
-            buf = np.empty((rows, *shape[1:], sum(b.shape[-1] + 1 for b in blocks)), dtype=np.uint8)
-            at = 0
-            for chars in blocks:
-                width = chars.shape[-1]
-                buf[..., at : at + width] = chars
-                buf[..., at + width] = ord(",")
-                at += width + 1
-            buf[..., -1] = ord("\n")
-            fh.write(buf[buf != HOLE])
+        if len(starts) <= 1:
+            for start in starts:
+                _write_rows(fh, fields(start))
+            return
+        # The caller formats each block while one helper thread lays out,
+        # compacts and writes the block before it: a few large numpy copies
+        # and a write per block, which release the GIL.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(_write_rows, fh, fields(0))
+            for start in starts[1:]:
+                blocks = fields(start)
+                pending.result()
+                pending = helper.submit(_write_rows, fh, blocks)
+            pending.result()
+
+
+def _write_rows(fh, blocks) -> None:
+    """Lay out the fixed-width fields of one block of rows, one ``blocks``
+    entry per column, as CSV lines, and write them without their holes."""
+    shape = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+    buf = np.full((*shape, sum(b.shape[-1] + 1 for b in blocks)), ord(","), dtype=np.uint8)
+    at = 0
+    for chars in blocks:
+        buf[..., at : at + chars.shape[-1]] = chars
+        at += chars.shape[-1] + 1
+    buf[..., -1] = ord("\n")
+    fh.write(buf[buf != HOLE])
 
 
 _EVENT_FIELDS = ("time", "vehicle", "kind", "from_lane", "to_lane", "phi_before")

@@ -105,6 +105,18 @@ def test_an_empty_grid_exits_2(tmp_path, capsys, kind, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("flow_grid_nt", -3), ("flow_grid_nx", -1), ("flow_grid_nt", 0), ("flow_grid_nx", 0)]
+)
+def test_a_flow_grid_without_points_exits_2(tmp_path, capsys, key, value):
+    """A negative size used to reach numpy's ``linspace`` (exit 1), and a zero
+    size wrote a header-only ``flow_field.csv`` (exit 0)."""
+    out = tmp_path / "out"
+    assert main(["single-lane", "--out", str(out), "--quiet", "--set", f"{key}={value}"]) == EXIT_CONFIG
+    assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_type_coercion_rejects_mismatches():
     with pytest.raises(ConfigurationError):
         load_config(kind="single-lane", overrides=["n_vehicles=12.5"])

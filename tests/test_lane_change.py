@@ -914,6 +914,29 @@ def test_first_change_follows_the_exact_law(table1_params, dt):
     assert np.abs(empirical - law).max() < 1.36 / math.sqrt(len(seeds))
 
 
+def test_early_lane_one_fraction_follows_the_independent_law(table1_params):
+    # From a lane-0 start, a vehicle that has not yet changed attempts in
+    # step j with probability 1 - (1 - (2/pi) atan(j r dt))**dt while lane 1
+    # is nearly empty.  Were the vehicles independent, the lane-1 fraction
+    # after k steps would be f = 1 - prod_{j <= k} (1 - (2/pi) atan(j r dt))**dt.
+    # That holds to about 1 s.  By 2 s the interaction between the vehicles
+    # has taken over and the measured fraction is already below the law.
+    n, r, dt, seeds = 50, 0.1, 0.05, range(2000, 2040)
+    samples, ends = run_lockstep(
+        table1_params, LaneChangeParams(r=r, p=0.2), seeds, n_lane0=n, dt=dt, t_end=2.0,
+        record_stride=round(1.0 / dt), sink=_Samples,
+    )
+    assert all(end.reason != TERMINATED_COLLISION for end in ends)
+    np.testing.assert_allclose(samples.times[0], [0.0, 1.0, 2.0])
+    j = np.arange(1, round(2.0 / dt) + 1)
+    law = 1.0 - np.cumprod((1.0 - 2.0 / math.pi * np.arctan(j * r * dt)) ** dt)[[19, 39]]
+    fraction = samples.lanes[:, 1:].mean(axis=(0, 2))
+    bound = 4.0 * np.sqrt(law * (1.0 - law) / (n * len(seeds)))  # four binomial standard errors
+    assert law[0] == pytest.approx(0.0335, abs=5e-5)
+    assert abs(fraction[0] - law[0]) < bound[0]  # at 1 s
+    assert fraction[1] < law[1] + bound[1]  # at 2 s, only from above
+
+
 @pytest.mark.parametrize("delay, collided", [(0.3, 0), (0.7, 16)])
 def test_delayed_lane_changes_crash_on_one_side_of_the_boundary(table1_params, delay, collided):
     # A 35/15 split on seeds 100-115: no run collides at 0.3 s, every run at
@@ -926,6 +949,36 @@ def test_delayed_lane_changes_crash_on_one_side_of_the_boundary(table1_params, d
         sink=_Samples,
     )
     assert sum(end.reason == TERMINATED_COLLISION for end in ends) == collided
+
+
+def test_a_delayed_crash_follows_an_order_reversal(table1_params):
+    # Seed 101, 35/15, delay 0.5 s: vehicle 21 changes into lane 1 8.705 m
+    # behind vehicle 43, past d_min on true positions.  A delay earlier,
+    # though, it was 5.806 m ahead of 43, so 43 perceives it just ahead and
+    # stops, while 21 perceives its own leader far ahead.  Three steps later
+    # 21 hits 43.
+    delay, length = 0.5, table1_params.track_length
+    record = run_two_lane(
+        table1_params, LaneChangeParams(r=0.1, p=0.2, rng_seed=101), 35, 15, delay=delay, dt=0.05,
+        t_end=300.0,
+    )
+
+    def gap_ahead(t, follower, leader):
+        (s,) = np.flatnonzero(np.isclose(record.times, t))
+        x = record.positions[s]
+        return (x[leader] - x[follower]) % length
+
+    change = [(e.time, e.from_lane, e.to_lane) for e in record.events if e.kind == "lane_change" and e.vehicle == 21]
+    assert change[-1] == pytest.approx((12.40, 0, 1))
+    assert gap_ahead(12.40, 21, 43) == pytest.approx(8.705, abs=1e-3)
+    assert gap_ahead(12.40 - delay, 43, 21) == pytest.approx(5.806, abs=1e-3)
+    after = record.times >= 12.40 - 1e-9
+    assert np.all(record.velocities[after, 43] == 0.0)
+    assert np.all(record.velocities[after, 21] > 35.0)
+    (crash,) = record.collisions
+    assert (crash.time, crash.follower_index) == (pytest.approx(12.55), 21)
+    assert crash.headway_at_collision == pytest.approx(3.394, abs=1e-3)
+    assert gap_ahead(12.55, 21, 43) == crash.headway_at_collision
 
 
 def test_lane_change_params_validation():

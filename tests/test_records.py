@@ -1,4 +1,7 @@
+import io
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,6 +149,122 @@ def test_writer_streams_a_table_longer_than_one_chunk(tmp_path):
     path = tmp_path / "long.csv"
     write_csv(path, [], ["n", "x"], [np.arange(n), x])
     assert_same_text(path.read_text(), reference_csv([], ["n", "x"], zip(range(n), x.tolist())))
+
+
+HELPER_N = 4
+
+
+def helper_table(rows):
+    """A ``(rows, HELPER_N)`` table with a narrow time and vehicle column."""
+    rng = np.random.default_rng(rows)
+    times = np.round(np.arange(rows) * 0.01, 12)[:, None]
+    x = rng.normal(scale=1e3, size=(rows, HELPER_N))
+    columns = ["t", "vehicle", "x"]
+    expected = [(times[s, 0], j, x[s, j]) for s in range(rows) for j in range(HELPER_N)]
+    return columns, [times, np.arange(HELPER_N), x], reference_csv(["# k=v"], columns, expected)
+
+
+def count_thread_starts(monkeypatch):
+    """The list of threads started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@pytest.mark.parametrize("rows, threads", [(0, 0), (3, 0), (5, 0), (6, 1), (10, 1), (11, 1)])
+def test_block_boundaries_give_the_same_bytes(tmp_path, monkeypatch, rows, threads):
+    """Tables of no rows, of part of a block, of exactly one and two blocks
+    (five rows of four values each), and of three blocks.  Only a
+    table of more than one block starts the helper thread, and it ends
+    before ``write_csv`` returns."""
+    monkeypatch.setattr(records, "CHUNK_ROWS", 5 * HELPER_N)
+    columns, values, expected = helper_table(rows)
+    started = count_thread_starts(monkeypatch)
+    before = threading.active_count()
+    path = tmp_path / "blocks.csv"
+    write_csv(path, ["# k=v"], columns, values)
+    assert len(started) == threads
+    assert threading.active_count() == before
+    assert_same_text(path.read_text(), expected)
+
+
+class FailingFile(io.BytesIO):
+    """A file whose ``fail_at``-th write (the header's is the first) raises."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+@pytest.mark.parametrize("fail_at", [2, 3, 4], ids=["first block", "second block", "last block"])
+def test_a_failed_block_write_is_raised_and_leaves_no_thread(monkeypatch, fail_at):
+    monkeypatch.setattr(records, "CHUNK_ROWS", 5 * HELPER_N)
+    files = []
+
+    def opened(path, mode):
+        files.append(FailingFile(fail_at))
+        return files[-1]
+
+    monkeypatch.setattr(records, "open", opened, raising=False)
+    columns, values, _ = helper_table(15)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv("unused.csv", ["# k=v"], columns, values)
+    assert threading.active_count() == before
+    assert files[0].writes == fail_at
+    assert files[0].closed
+
+
+def test_concurrent_writes_keep_every_row_in_order(tmp_path, monkeypatch):
+    """Three callers, more than the cores of a small machine, each write a
+    table of 40 blocks while the interpreter switches threads as often as it
+    can: every file holds its own rows, in order."""
+    monkeypatch.setattr(records, "CHUNK_ROWS", 2 * HELPER_N)
+    monkeypatch.setattr(records, "SMALL_FIELD", 0)
+    columns, values, expected = helper_table(80)
+    paths = [tmp_path / f"{k}.csv" for k in range(3)]
+    failures = []
+
+    def write(path):
+        try:
+            write_csv(path, ["# k=v"], columns, values)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=write, args=(path,)) for path in paths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    for path in paths:
+        assert_same_text(path.read_text(), expected)
+
+
+def test_digit_words_match_percent():
+    """Eight ASCII digits per value, most significant first in memory."""
+    rng = np.random.default_rng(14)
+    x = np.concatenate([np.arange(10**4 + 1), rng.integers(0, 10**8, 10**5), [10**8 - 1, 10**7, 9999 * 10**4]])
+    words = records._digits8(x.astype(np.intp))
+    assert words.astype("<u8").tobytes() == b"".join(b"%08d" % v for v in x.tolist())
 
 
 def test_events_csv_matches_reference(tmp_path):
