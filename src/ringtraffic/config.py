@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 from .core import ModelParams
@@ -125,8 +126,11 @@ class ScenarioConfig:
 
 
 def _coerce(key: str, value, default):
-    """Coerce a merged value to the default's type; reject mismatches.  Only
-    a key whose default is ``None`` takes ``None``."""
+    """Coerce a merged value to the default's type; reject mismatches and
+    non-finite numbers (JSON's ``NaN`` and ``Infinity``).  Only a key whose
+    default is ``None`` takes ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"key '{key}' expects a finite number, got {value!r}")
     if default is None:
         if value is None:
             return None

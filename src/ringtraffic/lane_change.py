@@ -7,16 +7,17 @@ through a bounded arctan law, rescaled to the step size so the attempt rate is
 independent of the integrator resolution.
 
 The state's arrays are ``(N,)`` for one run or ``(R, N)`` for R seeded
-replicas of one fleet.  A step advances every row at once, each row drawing
-from its own generator, so replicas run in lockstep and row ``r`` follows
-exactly the run of its seed alone.
+replicas of one fleet.  A step advances every row at once on the variates
+it is given; the runner draws each row's from the row's own generator, so
+replicas run in lockstep and row ``r`` follows exactly the run of its seed
+alone.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -444,39 +445,32 @@ def _scan_order(lane) -> np.ndarray:
 
 @dataclass
 class StepOutcome:
-    """What one two-lane step produced, plus the pre-move snapshot.
+    """What one two-lane step produced.
 
     For a batch state, ``collisions`` and ``events`` hold one list per row.
     """
 
-    time: float  # step start time
-    positions_before: np.ndarray
     velocities: np.ndarray
-    collisions: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    changed: np.ndarray = None
+    collisions: list
+    events: list
 
 
 class _Draws:
     """Each row's uniform variates, one per vehicle per step, drawn from the
     row's own generator a block of steps at a time: ``g.random((B, N))``
-    yields the stream of ``B`` calls of ``g.random(N)``.  No block reaches
-    past the ``steps`` of the run, so each generator ends where per-step
-    draws would leave it."""
+    yields the stream of ``B`` calls of ``g.random(N)``, so the variates do
+    not depend on the block size."""
 
-    def __init__(self, rngs, n_vehicles: int, steps: int):
+    def __init__(self, rngs, n_vehicles: int):
         self.rngs = list(rngs)
-        self.n = n_vehicles
-        self.left = steps  # steps not yet drawn
+        self.size = (max(1, VARIATE_BLOCK // n_vehicles), n_vehicles)
         self.block = np.empty((len(self.rngs), 0, n_vehicles))
         self.used = 0
 
     def next(self) -> np.ndarray:
         """The next step's variates, ``(rows, N)``."""
         if self.used == self.block.shape[1]:
-            size = max(1, min(self.left, VARIATE_BLOCK // self.n))
-            self.block = np.stack([g.random((size, self.n)) for g in self.rngs])
-            self.left -= size
+            self.block = np.stack([g.random(self.size) for g in self.rngs])
             self.used = 0
         self.used += 1
         return self.block[:, self.used - 1]
@@ -489,73 +483,63 @@ class _Draws:
 
 def two_lane_step(
     state: TwoLaneState,
-    hist: HistoryBuffer,
+    perceived: np.ndarray,
     lp: LaneChangeParams,
     p: ModelParams,
     dt: float,
-    rng,
+    draw: np.ndarray,
 ) -> StepOutcome:
     """Advance the two-lane system by one step, mutating ``state`` in place.
 
-    ``rng`` holds one generator per row of a batch state (a bare generator
-    for one run); every row draws one variate per vehicle per step, assigned
-    to the vehicles in scan order.
+    ``perceived`` holds the positions the drivers react to (the delayed
+    ones) and ``draw`` the step's uniform variates, both in the shape of
+    ``state.positions``; each row's variates go to its vehicles in scan
+    order.  At delay 0, passing ``state.positions`` itself as ``perceived``
+    lets one ring serve both.
 
     Stage 1 scans the vehicles in a fixed order, updating frustration from the
-    perceived (delayed) headways and executing safe lane changes immediately,
-    so later vehicles in the same step see the updated occupancy.  Stage 2
-    checks true headways for collisions; a collision freezes its row before
-    any movement.  Stage 3 advances the other rows from the perceived headways
-    in the current lane assignment.  One ring of the step-start positions
-    (and one of the delayed positions, under a delay) serves every stage.
+    perceived headways and executing safe lane changes immediately, so later
+    vehicles in the same step see the updated occupancy.  Stage 2 checks true
+    headways for collisions; a collision freezes its row before any movement.
+    Stage 3 advances the other rows from the perceived headways in the current
+    lane assignment.  One ring of the step-start positions (and one of the
+    perceived positions, when they are another array) serves every stage.
     """
     length = p.track_length
-    positions, lanes, phis, pending, lambdas, shape = _by_row(
-        state.positions, state.lanes, state.phis, state.pending_passes, state.lambdas
+    if np.shape(perceived) != state.positions.shape or np.shape(draw) != state.positions.shape:
+        raise ParameterError(
+            f"perceived positions {np.shape(perceived)} and variates {np.shape(draw)} "
+            f"must have the state's shape {state.positions.shape}"
+        )
+    one_ring = perceived is state.positions
+    positions, lanes, phis, pending, lambdas, perceived, draw, shape = _by_row(
+        state.positions, state.lanes, state.phis, state.pending_passes, state.lambdas,
+        perceived, draw,
     )
     rows, n = positions.shape
-    if isinstance(rng, _Draws):
-        draws = rng
-    else:
-        draws = _Draws([rng] if isinstance(rng, np.random.Generator) else rng, n, 1)
-    if len(draws.rngs) != rows:
-        raise ParameterError(f"{rows} rows need as many generators, got {len(draws.rngs)}")
     # The step works in the order of the true ring and unsorts once, at the
     # end.  The perception runs on the ring of the perceived positions;
-    # under a delay, ``true_of`` and ``seen_of`` map its columns onto the
-    # true ring's and back (None: the identity, the rings being one).
+    # when it is another ring, ``true_of`` and ``seen_of`` map its columns
+    # onto the true ring's and back (None: the identity, the rings being one).
     ring = _Ring.of(positions, length)
     sorted_lanes, sorted_phis = ring.sort(lanes), ring.sort(phis)
     sorted_pending = ring.sort(pending)
-    if hist.delay_steps == 0:
+    if one_ring:
         seen, true_of, seen_of = ring, None, None
+        own, adj = _perceive(seen, sorted_lanes, length)
     else:
-        seen = _Ring.of(hist.positions_at_delay().reshape(rows, n), length)
+        seen = _Ring.of(perceived, length)
         column = np.broadcast_to(np.arange(n), (rows, n))
         true_of = seen.sort(ring.unsort(column))
         seen_of = ring.sort(seen.unsort(column))
-
-    def perceive(r=None):
-        """In-lane and other-lane headways, frustration and attempt
-        probability, in ring order, of every row (or of row ``r`` alone, as
-        one row)."""
-        at = slice(None) if r is None else slice(r, r + 1)
-        seen_at = seen if r is None else seen.rows(r)
-        if true_of is None:
-            own, adj = _perceive(seen_at, sorted_lanes[at], length)
-        else:
-            lanes_seen = np.take_along_axis(sorted_lanes[at], true_of[at], 1)
-            own, adj = _perceive(seen_at, lanes_seen, length)
-            own, adj = (np.take_along_axis(h, seen_of[at], 1) for h in (own, adj))
-        return (own, adj, *_frustration(sorted_phis[at], own, adj, sorted_pending[at], lp, dt))
-
-    own, adj, phi, prob = perceive()
+        own, adj = _perceive(seen, np.take_along_axis(sorted_lanes, true_of, 1), length)
+        own, adj = (np.take_along_axis(h, seen_of, 1) for h in (own, adj))
+    phi, prob = _frustration(sorted_phis, own, adj, sorted_pending, lp, dt)
     scan = _scan_order(sorted_lanes)
-    draw = draws.next()  # one variate per vehicle, in scan order
     attempted = draw < prob.ravel()[scan + ring.base]
 
     changed = np.zeros(positions.shape, dtype=bool)
-    events: list[list[LaneEvent]] = [[] for _ in draws.rngs]
+    events: list[list[LaneEvent]] = [[] for _ in range(rows)]
     for r in attempted.any(axis=1).nonzero()[0] if attempted.any() else ():
         # Replay the row's scan sequentially: an executed change shifts the
         # headways seen by the vehicles near it (every other-lane leader of
@@ -602,12 +586,8 @@ def two_lane_step(
                 view[at] = 1 - origin
             update = _perceive_change(x, past, view, at, length)
             if update is None:
-                own_n, adj_n, phi_n, prob_n = perceive(r)
-                own_r[:], adj_r[:] = own_n[0], adj_n[0]
-                later = cols[i + 1 :]
-                committed[later] = phi_n[0, later]
-                hits = (i + 1 + (draw[r, i + 1 :] < prob_n[0, later]).nonzero()[0]).tolist()
-                continue
+                own_s, adj_s = _perceive(seen.rows(r), view[None], length)
+                update = range(n), own_s[0], adj_s[0]
             # Scanned later, and the other lane now looks better where it did
             # not, or no longer does.
             turned = []
@@ -636,7 +616,7 @@ def two_lane_step(
     collided = closed(true_h, p)
     hit = collided.any()
     crashed = collided.any(axis=1) if hit else None
-    collisions: list[list[CollisionReport]] = [[] for _ in draws.rngs]
+    collisions: list[list[CollisionReport]] = [[] for _ in range(rows)]
     for r in np.nonzero(crashed)[0] if hit else ():
         collisions[r] = find_collisions(true_h[r], state.time, p)
         for report in collisions[r]:
@@ -652,14 +632,7 @@ def two_lane_step(
                 )
             )
 
-    outcome = StepOutcome(
-        time=state.time,
-        positions_before=positions.reshape(shape),
-        velocities=velocities.reshape(shape),
-        collisions=collisions,
-        events=events,
-        changed=changed.reshape(shape),
-    )
+    outcome = StepOutcome(velocities.reshape(shape), collisions, events)
     if len(shape) == 1:
         outcome.collisions, outcome.events = collisions[0], events[0]
     if hit and crashed.all():
@@ -671,7 +644,6 @@ def two_lane_step(
         new_positions[crashed] = positions[crashed]  # collided rows stay frozen
         excluded = changed | crashed[:, None]
     state.positions = new_positions.reshape(shape)
-    hist.push(state.positions)
     state.time = round(state.time + dt, 12)
 
     passes = _count_passes(positions, new_positions, lanes, excluded, length, ring)
@@ -743,14 +715,17 @@ def run_lockstep(
         )
     )
     hist = HistoryBuffer(state.positions, delay, dt)
-    draws = _Draws([np.random.default_rng(seed) for seed in seeds], base.n_vehicles, steps)
+    draws = _Draws([np.random.default_rng(seed) for seed in seeds], base.n_vehicles)
     consumer = sink(count, size, base.n_vehicles)
     live = np.arange(count)
     events: list[list[LaneEvent]] = [[] for _ in seeds]
     ends: list[RunEnd] = [None] * count
     k = 0
     for s in range(steps):
-        outcome = two_lane_step(state, hist, lp, p, dt, draws)
+        time, before = state.time, state.positions
+        perceived = hist.positions_at_delay() if hist.delay_steps else before
+        outcome = two_lane_step(state, perceived, lp, p, dt, draws.next())
+        hist.push(state.positions)
         for i, row_events in enumerate(outcome.events):
             if row_events:
                 events[live[i]] += row_events
@@ -761,13 +736,13 @@ def run_lockstep(
             for rows in (crashed, survivors) if sampled else (crashed,):
                 if rows.any():
                     consumer.sample(
-                        live[rows], k, outcome.time, outcome.positions_before[rows],
+                        live[rows], k, time, before[rows],
                         outcome.velocities[rows], state.lanes[rows], state.phis[rows],
                     )
             for i in np.flatnonzero(crashed):
                 r = live[i]
                 ends[r] = RunEnd(
-                    TERMINATED_COLLISION, outcome.time, k + 1, outcome.collisions[i], events[r]
+                    TERMINATED_COLLISION, time, k + 1, outcome.collisions[i], events[r]
                 )
             state = state.rows(survivors)
             hist.select(survivors)
@@ -777,7 +752,7 @@ def run_lockstep(
                 break
         elif sampled:
             consumer.sample(
-                live, k, outcome.time, outcome.positions_before, outcome.velocities,
+                live, k, time, before, outcome.velocities,
                 state.lanes, state.phis,
             )
         k += sampled

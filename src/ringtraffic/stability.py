@@ -220,7 +220,11 @@ def critical_reaction_time(n_vehicles: int, p: ModelParams) -> float:
     ``theta = 2 pi / N``) reaches the imaginary axis first.  A root ``i w``
     requires ``w = |d|`` and ``w * delay = theta / 2`` with
     ``|d| = 2 |c| sin(theta / 2)``, so ``tau_c = (pi/N) / (2 |c| sin(pi/N))``.
+    A sparse ring's coupling can leave the float range: where ``|d|`` is
+    subnormal the quotient overflows, and where it rounds to 0 the answer is
+    the same ``inf``.
     """
     c = scale_constant(n_vehicles, p)
     half_theta = math.pi / n_vehicles
-    return half_theta / (2.0 * abs(c) * math.sin(half_theta))
+    modulus = 2.0 * abs(c) * math.sin(half_theta)
+    return half_theta / modulus if modulus else math.inf

@@ -123,27 +123,36 @@ class ReferenceStep:
     attempts: int
 
 
-def reference_step(state, ref_positions, lp, p, dt, rng):
+def scan_order(state, p):
+    """The step's scan order of a state of one run, in vehicles: lane 0 by
+    ascending wrapped position, then lane 1."""
+    return np.lexsort((state.positions % p.track_length, state.lanes))
+
+
+def perceive(state, lanes, ref_positions, lp, p, dt):
+    """In-lane headway, frustration and attempt probability of every vehicle
+    of a state of one run, in the given lanes, on the perceived positions."""
+    own = own_headways(ref_positions, lanes, p.track_length)
+    adj = adjacent_headways(ref_positions, lanes, p.track_length)
+    return (own, *_frustration(state.phis, own, adj, state.pending_passes, lp, dt))
+
+
+def reference_step(state, ref_positions, lp, p, dt, variates):
     """One two-lane step of one run (``(N,)`` arrays), written vehicle by
-    vehicle from the standalone kernels, each sorting on its own: one
-    ``rng.random(N)`` draw handed out in ``np.lexsort`` scan order, a full
-    perception after every executed change, the safety rule over the whole
-    other lane and the pass count of the two states.  ``ref_positions`` are
-    the perceived (delayed) positions.  ``state`` is left as it was.
+    vehicle from the standalone kernels, each sorting on its own: the
+    ``variates`` handed out in :func:`scan_order`, a full perception after
+    every executed change, the safety rule over the whole other lane and the
+    pass count of the two states.  ``ref_positions`` are the perceived
+    (delayed) positions.  ``state`` is left as it was.
     """
     length = p.track_length
     positions, lanes = state.positions, state.lanes.copy()
     n = len(positions)
-    scan = np.lexsort((positions % length, lanes))
+    scan = scan_order(state, p)
     u = np.empty(n)
-    u[scan] = rng.random(n)
+    u[scan] = variates
 
-    def perceive():
-        own = own_headways(ref_positions, lanes, length)
-        adj = adjacent_headways(ref_positions, lanes, length)
-        return (own, *_frustration(state.phis, own, adj, state.pending_passes, lp, dt))
-
-    own, phis, prob = perceive()
+    own, phis, prob = perceive(state, lanes, ref_positions, lp, p, dt)
     committed = np.empty(n)
     changed = np.zeros(n, dtype=bool)
     events = []
@@ -162,7 +171,7 @@ def reference_step(state, ref_positions, lp, p, dt, rng):
         lanes[vehicle] = 1 - origin
         changed[vehicle] = True
         committed[vehicle] = 0.0
-        own, phis, prob = perceive()
+        own, phis, prob = perceive(state, lanes, ref_positions, lp, p, dt)
 
     velocities = _velocity(own, state.lambdas, p)
     true_h = own_headways(positions, lanes, length)

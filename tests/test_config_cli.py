@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -250,6 +251,14 @@ def test_tau_curve_cli(tmp_path, csv_columns):
         assert tau == float(format(critical_reaction_time(int(n), p), ".12g"))
 
 
+@pytest.mark.parametrize("length", ["2.9e5", "1e6"])
+def test_tau_curve_cli_writes_inf_beyond_the_float_range(tmp_path, csv_columns, length):
+    out = tmp_path / "tau"
+    args = ["--set", f"params.track_length={length}", "--set", "n_list=[10]", "--quiet"]
+    assert main(["tau-curve", "--out", str(out), *args]) == EXIT_OK
+    assert csv_columns(out / "tau_curve.csv")["tau_s"].tolist() == [math.inf]
+
+
 def test_single_lane_cli_small(tmp_path, csv_columns):
     out = tmp_path / "sl"
     status = main(
@@ -360,6 +369,38 @@ def test_bad_config_exit_code(tmp_path):
         ["single-lane", "--out", str(tmp_path / "y"), "--set", "nonsense=1", "--quiet"]
     )
     assert status == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Each of the first five ran with the NaN: two-lane and aggressive
+        # wrote nan positions (exit 0), fundamental-diagram and load-balance
+        # ended in a numpy traceback (exit 1), and single-lane skipped its
+        # flow field "after delta_flow nan s" (exit 0).
+        ["two-lane", "--set", "stagger=NaN", "--set", "t_end=1", "--set", "n_lane1=10"],
+        ["aggressive", "--set", "stagger=NaN", "--set", "t_end=1"],
+        ["fundamental-diagram", "--set", "rho_resolution_per_km=NaN"],
+        ["load-balance", "--set", "delta_flow=NaN"],
+        ["single-lane", "--set", "delta_flow=NaN"],
+        ["stability", "--set", "delay_grid=[0.5,Infinity]"],
+        ["single-lane", "--set", "params.v_max=-Infinity"],
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "expects a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_number_in_a_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"delta_flow": float("nan"), "t_end": 5.0}))  # writes NaN
+    out = tmp_path / "out"
+    assert main(["single-lane", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "key 'delta_flow' expects a finite number, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [0, -3])

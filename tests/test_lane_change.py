@@ -35,8 +35,10 @@ from oracles import (
     frustration_law,
     full_lane_gap_is_clear,
     gap_arguments,
+    perceive,
     reference_step,
     ring_of,
+    scan_order,
 )
 
 
@@ -554,9 +556,8 @@ def test_local_update_matches_a_fresh_perception_after_one_change():
 def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
     lp = LaneChangeParams(r=0.0, p=0.0, rng_seed=5)
     state = init_two_lane(table1_params, 25, 25, stagger=20.0)
-    hist = HistoryBuffer(state.positions, 0.0, 0.05)
-    rng = np.random.default_rng(5)
-    outcome = two_lane_step(state, hist, lp, table1_params, 0.05, rng)
+    draw = np.random.default_rng(5).random(50)
+    outcome = two_lane_step(state, state.positions, lp, table1_params, 0.05, draw)
     assert outcome.events == []
     # each lane advanced exactly as an isolated 25-vehicle ring would
     single = run_single_lane(table1_params, 25, 0.0, 0.05, 0.05)
@@ -566,13 +567,17 @@ def test_two_lane_step_zero_frustration_matches_single_lane(table1_params):
     np.testing.assert_allclose(lane1, single.positions[-1] + 20.0, atol=1e-12)
 
 
-def test_two_lane_step_needs_one_generator_per_row(table1_params):
+def test_two_lane_step_needs_one_variate_per_vehicle(table1_params):
     lp = LaneChangeParams(r=0.1, p=0.2)
     one = init_two_lane(table1_params, 25, 25, stagger=20.0)
     rows = TwoLaneState(*(np.stack([a, a]) for a in (one.positions, one.lanes, one.phis, one.lambdas)))
-    hist = HistoryBuffer(rows.positions, 0.0, 0.05)
-    with pytest.raises(ParameterError):
-        two_lane_step(rows, hist, lp, table1_params, 0.05, np.random.default_rng(1))
+    u = np.random.default_rng(1).random((2, 50))
+    for draw in (u[0], u[:1], u[:, :49], u.T):
+        with pytest.raises(ParameterError, match="variates"):
+            two_lane_step(rows, rows.positions, lp, table1_params, 0.05, draw)
+    with pytest.raises(ParameterError, match="perceived positions"):
+        two_lane_step(rows, rows.positions[0], lp, table1_params, 0.05, u)
+    assert rows.time == 0.0 and not rows.phis.any()  # nothing stepped
 
 
 def test_two_lane_step_applies_frustration_law(table1_params):
@@ -580,7 +585,7 @@ def test_two_lane_step_applies_frustration_law(table1_params):
     state = init_two_lane(table1_params, 30, 20, stagger=7.0)
     state.phis = np.linspace(0.0, 0.02, 50)  # small enough that nobody attempts
     state.pending_passes[[4, 33]] = 1
-    hist = HistoryBuffer(state.positions, 0.0, 0.05)
+    lanes = state.lanes.copy()
     length = table1_params.track_length
     expected, _ = frustration_law(
         state.phis,
@@ -591,8 +596,9 @@ def test_two_lane_step_applies_frustration_law(table1_params):
         lp.p,
         0.05,
     )
-    outcome = two_lane_step(state, hist, lp, table1_params, 0.05, np.random.default_rng(3))
-    assert not outcome.changed.any()
+    draw = np.random.default_rng(3).random(50)
+    two_lane_step(state, state.positions, lp, table1_params, 0.05, draw)
+    assert np.array_equal(state.lanes, lanes)
     np.testing.assert_array_equal(state.phis, expected)
 
 
@@ -792,6 +798,60 @@ REFERENCE_CASES = {
 }
 
 
+def step_beside_the_reference(p, case, delay, variates, steps):
+    """Step the fleet of a reference case, one row per seed (one run when it
+    has one seed), and each row's reference step beside it, bit for bit,
+    dropping collided rows as ``run_lockstep`` does.  ``variates(r, ref,
+    perceived)`` gives the variates of row ``r`` in scan order, from its
+    reference state and perceived positions.  Returns the reference steps."""
+    fleet, lp, seeds, _ = REFERENCE_CASES[case]
+    dt = 0.05
+    one = fleet(p)
+    batch = len(seeds) > 1
+    arrays = (one.positions, one.lanes, one.phis, one.lambdas)
+    state = TwoLaneState(*(np.repeat(a[None], len(seeds), axis=0) for a in arrays)) if batch else one
+    hist = HistoryBuffer(state.positions, delay, dt)
+    refs = [TwoLaneState(*(a.copy() for a in arrays)) for _ in seeds]
+    ref_hists = [HistoryBuffer(one.positions, delay, dt) for _ in seeds]
+    live = list(range(len(seeds)))
+    taken = []
+    for _ in range(steps):
+        perceived = [ref_hists[r].positions_at_delay() for r in live]
+        draw = np.array([variates(r, refs[r], x) for r, x in zip(live, perceived)])
+        before, lanes = state.positions, state.lanes.copy()
+        seen = hist.positions_at_delay() if delay else state.positions
+        outcome = two_lane_step(state, seen, lp, p, dt, draw if batch else draw[0])
+        hist.push(state.positions)
+        crashed = []
+        for i, r in enumerate(live):
+            ref = reference_step(refs[r], perceived[i], lp, p, dt, draw[i])
+            row = state.rows(i) if batch else state
+            at = i if batch else slice(None)
+            assert same_bits(before[at], refs[r].positions)
+            assert same_bits(outcome.velocities[at], ref.velocities)
+            assert same_bits(lanes[at] != row.lanes, ref.changed)
+            assert (outcome.events[i] if batch else outcome.events) == ref.events
+            assert (outcome.collisions[i] if batch else outcome.collisions) == ref.collisions
+            for name in ("positions", "lanes", "phis", "pending_passes"):
+                assert same_bits(getattr(row, name), getattr(ref.state, name)), name
+            if not ref.collisions:
+                assert row.time == ref.state.time
+                ref_hists[r].push(ref.state.positions)
+            refs[r] = ref.state
+            taken.append(ref)
+            crashed.append(bool(ref.collisions))
+        if any(crashed):
+            if not batch:
+                break
+            survivors = ~np.array(crashed)
+            state = state.rows(survivors)
+            hist.select(survivors)
+            live = [r for r, hit in zip(live, crashed) if not hit]
+            if not live:
+                break
+    return taken
+
+
 @pytest.mark.parametrize("delay", [0.0, 0.75])
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 def test_two_lane_step_matches_the_reference_step(table1_params, delay, case):
@@ -801,52 +861,42 @@ def test_two_lane_step_matches_the_reference_step(table1_params, delay, case):
     # From lane 0 alone, every row changes lanes 7 to 27 times under the
     # delay before it collides (2.25 to 5.05 s), and about 240 times in all
     # over the 7 s without it.
-    fleet, lp, seeds, expected_collided = REFERENCE_CASES[case]
-    p, dt = table1_params, 0.05
-    one = fleet(p)
-    batch = len(seeds) > 1
-    arrays = (one.positions, one.lanes, one.phis, one.lambdas)
-    state = TwoLaneState(*(np.repeat(a[None], len(seeds), axis=0) for a in arrays)) if batch else one
-    hist = HistoryBuffer(state.positions, delay, dt)
+    _, _, seeds, expected_collided = REFERENCE_CASES[case]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    refs = [TwoLaneState(*(a.copy() for a in arrays)) for _ in seeds]
-    ref_hists = [HistoryBuffer(one.positions, delay, dt) for _ in seeds]
-    ref_rngs = [np.random.default_rng(seed) for seed in seeds]
-    live = list(range(len(seeds)))
-    most_changes = collided = 0
-    for _ in range(140):
-        outcome = two_lane_step(state, hist, lp, p, dt, rngs if batch else rngs[0])
-        crashed = []
-        for i, r in enumerate(live):
-            ref = reference_step(refs[r], ref_hists[r].positions_at_delay(), lp, p, dt, ref_rngs[r])
-            row = state.rows(i) if batch else state
-            at = i if batch else slice(None)
-            assert same_bits(outcome.positions_before[at], refs[r].positions)
-            assert same_bits(outcome.velocities[at], ref.velocities)
-            assert same_bits(outcome.changed[at], ref.changed)
-            assert (outcome.events[i] if batch else outcome.events) == ref.events
-            assert (outcome.collisions[i] if batch else outcome.collisions) == ref.collisions
-            for name in ("positions", "lanes", "phis", "pending_passes"):
-                assert same_bits(getattr(row, name), getattr(ref.state, name)), name
-            if not ref.collisions:
-                assert row.time == ref.state.time
-                ref_hists[r].push(ref.state.positions)
-            refs[r] = ref.state
-            most_changes = max(most_changes, int(ref.changed.sum()))
-            crashed.append(bool(ref.collisions))
-        collided += sum(crashed)
-        if any(crashed):
-            if not batch:
-                break
-            survivors = ~np.array(crashed)
-            state = state.rows(survivors)
-            hist.select(survivors)
-            rngs = [g for g, hit in zip(rngs, crashed) if not hit]
-            live = [r for r, hit in zip(live, crashed) if not hit]
-            if not live:
-                break
-    assert most_changes >= 2
-    assert collided == expected_collided[delay]
+    taken = step_beside_the_reference(
+        table1_params, case, delay, lambda r, ref, seen: rngs[r].random(len(ref.positions)), 140
+    )
+    assert max(int(ref.changed.sum()) for ref in taken) >= 2
+    assert sum(bool(ref.collisions) for ref in taken) == expected_collided[delay]
+
+
+@pytest.mark.parametrize("variate", ["zero", "probability", "below", "top"])
+@pytest.mark.parametrize("delay", [0.0, 0.75])
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_two_lane_step_matches_the_reference_at_crafted_variates(table1_params, delay, case, variate):
+    # Variates of 0 make every vehicle with a positive probability attempt,
+    # and nextafter(1, 0) none.  A variate equal to the vehicle's attempt
+    # probability from the step's first perception is no attempt (the test
+    # is u < prob); the float below it is one, which in turn moves the
+    # probabilities of vehicles scanned later.
+    p, dt = table1_params, 0.05
+    lp = REFERENCE_CASES[case][1]
+
+    def variates(r, ref, seen):
+        if variate == "zero":
+            return np.zeros(len(ref.positions))
+        if variate == "top":
+            return np.full(len(ref.positions), np.nextafter(1.0, 0.0))
+        prob = perceive(ref, ref.lanes, seen, lp, p, dt)[2][scan_order(ref, p)]
+        return prob if variate == "probability" else np.nextafter(prob, 0.0)
+
+    taken = step_beside_the_reference(p, case, delay, variates, 30)
+    attempts = sum(ref.attempts for ref in taken)
+    if variate in ("probability", "top"):
+        assert attempts == 0
+        assert not any(ref.changed.any() for ref in taken)
+    else:
+        assert sum(int(ref.changed.sum()) for ref in taken) > 0
 
 
 def test_tracer_counters_read_the_step_truthfully(table1_params, monkeypatch):
@@ -877,7 +927,7 @@ def test_tracer_counters_read_the_step_truthfully(table1_params, monkeypatch):
         # run in blocks of steps: the events must not tell them apart.
         state, g, ref_events = init_two_lane(p, 50), np.random.default_rng(seed), []
         for _ in range(steps):
-            step = reference_step(state, state.positions, lp, p, dt, g)
+            step = reference_step(state, state.positions, lp, p, dt, g.random(50))
             attempts += step.attempts
             ref_events += step.events
             state = step.state

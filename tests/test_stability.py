@@ -316,6 +316,16 @@ def test_critical_reaction_time_sparse_fleets(table1_params):
         assert critical_reaction_time(n, table1_params) == pytest.approx(tau, rel=1e-4)
 
 
+@pytest.mark.parametrize("length", [2.9e5, 1e6])
+def test_critical_reaction_time_is_infinite_beyond_the_float_range(length):
+    # At N = 10 the coupling |c| = exp(-(L/10 - 7.5)/40) is subnormal
+    # (about 1.7e-315) on a 290 km ring and rounds to 0 on a 1000 km one,
+    # where the quotient used to raise ZeroDivisionError.
+    p = ModelParams(track_length=length)
+    assert 0.0 <= abs(scale_constant(10, p)) < sys.float_info.min
+    assert critical_reaction_time(10, p) == math.inf
+
+
 def test_critical_reaction_time_straddles_scipy_sign_change(table1_params):
     for n in range(2, 201):
         tau = critical_reaction_time(n, table1_params)
