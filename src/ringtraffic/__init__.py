@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .records import CollisionReport, LaneEvent, TrajectoryRecord
 from .single_lane import (
-    HistoryBuffer,
     advance,
     find_collisions,
     init_ring_equilibrium,
@@ -54,7 +53,6 @@ __all__ = [
     "velocity_from_headway",
     "fundamental_diagram_curve",
     "fundamental_diagram_summary",
-    "HistoryBuffer",
     "CollisionReport",
     "LaneEvent",
     "TrajectoryRecord",

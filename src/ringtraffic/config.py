@@ -240,9 +240,11 @@ def load_config(
 def _validate(kind: str, v: dict) -> None:
     """Check every key the kind holds; a key means the same in every kind."""
     ModelParams(**v["params"])  # raises ParameterError on bad physics
-    for key in ("replicas", "record_stride", "flow_grid_nt", "flow_grid_nx"):
-        if key in v and v[key] < 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {v[key]}")
+    floors = {"base_seed": 0, "n_vehicles": 2, "replicas": 1, "record_stride": 1,
+              "flow_grid_nt": 1, "flow_grid_nx": 1}
+    for key, low in floors.items():
+        if key in v and v[key] < low:
+            raise ConfigurationError(f"{key} must be >= {low}, got {v[key]}")
     for key in ("dt", "t_end", "delta_flow", "rho_resolution_per_km", "aggressive_lambda"):
         if key in v and v[key] <= 0:
             raise ConfigurationError(f"{key} must be positive, got {v[key]}")

@@ -27,7 +27,3 @@ class InsufficientDataError(TrafficError, ValueError):
 
 class NumericalError(TrafficError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
-
-
-class InternalError(TrafficError, RuntimeError):
-    """Invariant violation that indicates a bug rather than bad input."""

@@ -6,14 +6,15 @@ jumps when the driver is passed; it maps to a per-second attempt probability
 through a bounded arctan law, rescaled to the step size so the attempt rate is
 independent of the integrator resolution.
 
-The state's arrays are ``(N,)`` for one run or ``(R, N)`` for R seeded
-replicas of one fleet.  A step advances every row at once on the variates
-it is given; the runner draws each row's from the row's own generator, so
-replicas run in lockstep and row ``r`` follows exactly the run of its seed
-alone.
+The state's arrays are ``(R, N)`` rows, one per seeded replica of one
+fleet (one row for a single run).  A step advances every row at once on the
+variates it is given; the runner draws each row's from the row's own
+generator, so replicas run in lockstep and row ``r`` follows exactly the run
+of its seed alone.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import warnings
@@ -30,7 +31,7 @@ from .records import (
     LaneEvent,
     TrajectoryRecord,
 )
-from .single_lane import HistoryBuffer, closed, find_collisions, ring_crossings, run_grid
+from .single_lane import closed, find_collisions, ring_crossings, run_grid
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -62,7 +63,7 @@ class LaneChangeParams:
 @dataclass
 class TwoLaneState:
     """Positions, lane assignments, and driver state for every vehicle, as
-    ``(N,)`` arrays for one run or ``(R, N)`` rows of replicas."""
+    ``(R, N)`` rows of replicas."""
 
     positions: np.ndarray  # unwrapped, m
     lanes: np.ndarray  # 0 or 1
@@ -81,7 +82,7 @@ class TwoLaneState:
         return self.positions.size
 
     def rows(self, index) -> TwoLaneState:
-        """The selected rows (views of the arrays for a single row index)."""
+        """The rows that a mask or an index array selects, as a batch."""
         return TwoLaneState(
             positions=self.positions[index],
             lanes=self.lanes[index],
@@ -101,7 +102,8 @@ def init_two_lane(
 ) -> TwoLaneState:
     """Equally spaced vehicles per lane; lane 1 shifted downstream by ``stagger``.
 
-    Vehicles ``0..n_lane0-1`` populate lane 0 and the remainder lane 1.
+    Vehicles ``0..n_lane0-1`` populate lane 0 and the remainder lane 1.  The
+    state is one row.
     """
     if n_lane0 < 1 or n_lane1 < 0 or n_lane0 + n_lane1 < 2:
         raise ConfigurationError(f"invalid lane counts ({n_lane0}, {n_lane1})")
@@ -132,20 +134,11 @@ def init_two_lane(
             raise ConfigurationError(f"lambda override must be positive, got {lam!r}")
         lambdas[vehicle] = lam
     return TwoLaneState(
-        positions=positions,
-        lanes=lane_arr,
-        phis=np.zeros(n, dtype=float),
-        lambdas=lambdas,
+        positions=positions[None],
+        lanes=lane_arr[None],
+        phis=np.zeros((1, n), dtype=float),
+        lambdas=lambdas[None],
     )
-
-
-def _by_row(*arrays):
-    """Each array as ``(rows, N)`` (views, or the arrays themselves when
-    already 2-D), then the shape of the first."""
-    shape = arrays[0].shape
-    if len(shape) == 2:
-        return (*arrays, shape)
-    return (*[a.reshape(-1, shape[-1]) for a in arrays], shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -324,7 +317,8 @@ def _headways(positions_ref, lanes, track_length):
     lane: a vehicle exactly side-by-side is not ahead, so the next one (or its
     image one lap ahead) counts, and it is infinite when that lane is empty.
     """
-    lanes, shape = _by_row(lanes)
+    shape = lanes.shape
+    lanes = lanes.reshape(-1, shape[-1])
     ring = _Ring.of(positions_ref.reshape(lanes.shape), track_length)
     return [ring.unsort(h).reshape(shape) for h in _perceive(ring, ring.sort(lanes), track_length)]
 
@@ -379,8 +373,9 @@ def safety_gap_check(ring, column: int, lanes, p: ModelParams) -> bool:
 
 def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring) -> np.ndarray:
     """Per-vehicle count of adjacent-lane vehicles that moved from behind
-    (offset <= 0) to ahead (> 0) during the step, once per lap, row by row;
-    excluded vehicles neither receive nor contribute events.
+    (offset <= 0) to ahead (> 0) during the step, once per lap, row by row
+    of the ``(R, N)`` arrays; excluded vehicles neither receive nor
+    contribute events.
 
     As a passer moves ahead, the receiver's unwrapped offset from it sweeps
     down through ``(-after, -before]``; every multiple of the track length in
@@ -395,7 +390,6 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring) -> np.
     ways round is kept once, and every kept pair is counted in both
     directions.  A step that laps the ring widens the window to every pair.
     """
-    prev_pos, new_pos, lanes, excluded, shape = _by_row(prev_pos, new_pos, lanes, excluded)
     rows, n = prev_pos.shape
     move = new_pos - prev_pos
     reach = min(move.max() - move.min() + PASS_MARGIN * track_length, track_length)
@@ -420,7 +414,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring) -> np.
             r, a, c = r[~again], a[~again], c[~again]
         found.append((ring.flat[r, a], ring.flat[r, c]))
     if not found:
-        return np.zeros(shape, dtype=np.int64)
+        return np.zeros((rows, n), dtype=np.int64)
     i, j = found[0] if len(found) == 1 else (np.concatenate(v) for v in zip(*found))
     receivers, passers = np.concatenate([i, j]), np.concatenate([j, i])  # flat indices
     new_pos, prev_pos = new_pos.ravel(), prev_pos.ravel()
@@ -430,7 +424,7 @@ def _count_passes(prev_pos, new_pos, lanes, excluded, track_length, ring) -> np.
         track_length,
     )
     counts = np.bincount(receivers, weights=np.maximum(crossed, 0.0), minlength=rows * n)
-    return counts.astype(np.int64).reshape(shape)
+    return counts.astype(np.int64).reshape(rows, n)
 
 
 def _scan_order(lane) -> np.ndarray:
@@ -445,10 +439,8 @@ def _scan_order(lane) -> np.ndarray:
 
 @dataclass
 class StepOutcome:
-    """What one two-lane step produced.
-
-    For a batch state, ``collisions`` and ``events`` hold one list per row.
-    """
+    """What one two-lane step produced: the ``(R, N)`` velocities of the
+    move, and the collisions and events as one list per row."""
 
     velocities: np.ndarray
     collisions: list
@@ -491,11 +483,13 @@ def two_lane_step(
 ) -> StepOutcome:
     """Advance the two-lane system by one step, mutating ``state`` in place.
 
-    ``perceived`` holds the positions the drivers react to (the delayed
-    ones) and ``draw`` the step's uniform variates, both in the shape of
-    ``state.positions``; each row's variates go to its vehicles in scan
-    order.  At delay 0, passing ``state.positions`` itself as ``perceived``
-    lets one ring serve both.
+    The state holds ``(R, N)`` rows.  ``perceived`` holds the positions the
+    drivers react to (the delayed ones) and ``draw`` the step's uniform
+    variates, both ``(R, N)``; each row's variates go to its vehicles in
+    scan order.  At delay 0, passing ``state.positions`` itself as
+    ``perceived`` lets one ring serve both.  The step writes into neither:
+    it replaces ``state.positions`` with a new array, so a caller may keep
+    the arrays of earlier steps as the history of positions.
 
     Stage 1 scans the vehicles in a fixed order, updating frustration from the
     perceived headways and executing safe lane changes immediately, so later
@@ -506,25 +500,23 @@ def two_lane_step(
     perceived positions, when they are another array) serves every stage.
     """
     length = p.track_length
-    if np.shape(perceived) != state.positions.shape or np.shape(draw) != state.positions.shape:
+    positions, lanes, lambdas = state.positions, state.lanes, state.lambdas
+    if positions.ndim != 2:
+        raise ParameterError(f"the state must hold (R, N) rows, got shape {positions.shape}")
+    if np.shape(perceived) != positions.shape or np.shape(draw) != positions.shape:
         raise ParameterError(
             f"perceived positions {np.shape(perceived)} and variates {np.shape(draw)} "
-            f"must have the state's shape {state.positions.shape}"
+            f"must have the state's (R, N) shape {positions.shape}"
         )
-    one_ring = perceived is state.positions
-    positions, lanes, phis, pending, lambdas, perceived, draw, shape = _by_row(
-        state.positions, state.lanes, state.phis, state.pending_passes, state.lambdas,
-        perceived, draw,
-    )
     rows, n = positions.shape
     # The step works in the order of the true ring and unsorts once, at the
     # end.  The perception runs on the ring of the perceived positions;
     # when it is another ring, ``true_of`` and ``seen_of`` map its columns
     # onto the true ring's and back (None: the identity, the rings being one).
     ring = _Ring.of(positions, length)
-    sorted_lanes, sorted_phis = ring.sort(lanes), ring.sort(phis)
-    sorted_pending = ring.sort(pending)
-    if one_ring:
+    sorted_lanes, sorted_phis = ring.sort(lanes), ring.sort(state.phis)
+    sorted_pending = ring.sort(state.pending_passes)
+    if perceived is positions:
         seen, true_of, seen_of = ring, None, None
         own, adj = _perceive(seen, sorted_lanes, length)
     else:
@@ -606,10 +598,9 @@ def two_lane_step(
                 ranks = place[turned]
                 tries = ranks[draw[r, ranks] < prob_n]
                 hits = sorted(set(hits).difference(ranks.tolist()).union(tries.tolist()))
-    phis = ring.unsort(phi)
+    state.phis = phis = ring.unsort(phi)
+    state.pending_passes = np.zeros((rows, n), dtype=np.int64)
     own = ring.unsort(own)
-    state.phis = phis.reshape(shape)
-    state.pending_passes = np.zeros(shape, dtype=np.int64)
 
     velocities = _velocity(own, lambdas, p)
     true_h = own if true_of is None else ring.unsort(_perceive(ring, sorted_lanes, length)[0])
@@ -632,9 +623,7 @@ def two_lane_step(
                 )
             )
 
-    outcome = StepOutcome(velocities.reshape(shape), collisions, events)
-    if len(shape) == 1:
-        outcome.collisions, outcome.events = collisions[0], events[0]
+    outcome = StepOutcome(velocities, collisions, events)
     if hit and crashed.all():
         return outcome
 
@@ -643,12 +632,12 @@ def two_lane_step(
     if hit:
         new_positions[crashed] = positions[crashed]  # collided rows stay frozen
         excluded = changed | crashed[:, None]
-    state.positions = new_positions.reshape(shape)
+    state.positions = new_positions
     state.time = round(state.time + dt, 12)
 
     passes = _count_passes(positions, new_positions, lanes, excluded, length, ring)
     if passes.any():
-        state.pending_passes = passes.reshape(shape)
+        state.pending_passes = passes
         at = np.flatnonzero(passes)
         for i, lane, phi_before in zip(
             at.tolist(), lanes.ravel()[at].tolist(), phis.ravel()[at].tolist()
@@ -703,18 +692,19 @@ def run_lockstep(
     :func:`run_two_lane` records the run of that seed alone.  A collided row
     drops out of the batch.  ``lp.rng_seed`` is not used.
 
+    The delayed positions are the arrays the step left behind: the step
+    replaces ``state.positions`` and never writes into the array it was
+    handed, so ``recent`` keeps the last ``m + 1`` of them, oldest first.
+    At delay 0 its one entry is the state's own array.
+
     Returns the sink and one :class:`RunEnd` per seed.
     """
-    _, steps, size = run_grid(delay, dt, t_end, record_stride)
+    m, steps, size = run_grid(delay, dt, t_end, record_stride)
     base = init_two_lane(p, n_lane0, n_lane1, stagger=stagger, lambda_overrides=lambda_overrides)
     count = len(seeds)
-    state = TwoLaneState(
-        *(
-            np.repeat(a[None], count, axis=0)
-            for a in (base.positions, base.lanes, base.phis, base.lambdas)
-        )
-    )
-    hist = HistoryBuffer(state.positions, delay, dt)
+    arrays = (base.positions, base.lanes, base.phis, base.lambdas)
+    state = TwoLaneState(*(np.repeat(a, count, axis=0) for a in arrays))
+    recent = collections.deque([state.positions] * (m + 1), maxlen=m + 1)
     draws = _Draws([np.random.default_rng(seed) for seed in seeds], base.n_vehicles)
     consumer = sink(count, size, base.n_vehicles)
     live = np.arange(count)
@@ -723,45 +713,40 @@ def run_lockstep(
     k = 0
     for s in range(steps):
         time, before = state.time, state.positions
-        perceived = hist.positions_at_delay() if hist.delay_steps else before
-        outcome = two_lane_step(state, perceived, lp, p, dt, draws.next())
-        hist.push(state.positions)
+        outcome = two_lane_step(state, recent[0], lp, p, dt, draws.next())
+        recent.append(state.positions)
         for i, row_events in enumerate(outcome.events):
             if row_events:
                 events[live[i]] += row_events
         sampled = s % record_stride == 0
+        crashed = None
         if any(outcome.collisions):
             crashed = np.array([bool(c) for c in outcome.collisions])
-            survivors = ~crashed
-            for rows in (crashed, survivors) if sampled else (crashed,):
-                if rows.any():
-                    consumer.sample(
-                        live[rows], k, time, before[rows],
-                        outcome.velocities[rows], state.lanes[rows], state.phis[rows],
-                    )
+        if sampled or crashed is not None:
+            # Every live row on a stride step, otherwise the crashed ones.
+            at = slice(None) if sampled else crashed
+            consumer.sample(
+                live[at], k, time, before[at], outcome.velocities[at],
+                state.lanes[at], state.phis[at],
+            )
+        if crashed is not None:
             for i in np.flatnonzero(crashed):
                 r = live[i]
                 ends[r] = RunEnd(
                     TERMINATED_COLLISION, time, k + 1, outcome.collisions[i], events[r]
                 )
+            survivors = ~crashed
             state = state.rows(survivors)
-            hist.select(survivors)
+            for i in range(m):
+                recent[i] = recent[i][survivors]
+            recent[m] = state.positions
             draws.select(survivors)
             live = live[survivors]
             if not live.size:
                 break
-        elif sampled:
-            consumer.sample(
-                live, k, time, before, outcome.velocities,
-                state.lanes, state.phis,
-            )
         k += sampled
     else:
-        final_v = _velocity(
-            own_headways(hist.positions_at_delay(), state.lanes, p.track_length),
-            state.lambdas,
-            p,
-        )
+        final_v = _velocity(own_headways(recent[0], state.lanes, p.track_length), state.lambdas, p)
         consumer.sample(live, k, state.time, state.positions, final_v, state.lanes, state.phis)
         for r in live:
             ends[r] = RunEnd(TERMINATED_COMPLETED, steps * dt, k + 1, [], events[r])

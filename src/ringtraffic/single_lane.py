@@ -5,8 +5,7 @@ first vehicle leads the last one across the periodic wrap.  The reaction delay
 must be an integer multiple ``m`` of the time step.  The single-lane run uses
 the method of steps for delay equations: the velocities of the next ``m``
 steps depend only on headways that are already known, so each iteration
-advances one reaction delay at once.  The two-lane step keeps a ring buffer
-of past position snapshots (``HistoryBuffer``).
+advances one reaction delay at once.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import warnings
 import numpy as np
 
 from .core import ModelParams, _velocity
-from .errors import ConfigurationError, InternalError, ParameterError
+from .errors import ConfigurationError, ParameterError
 from .records import (
     TERMINATED_COLLISION,
     TERMINATED_COMPLETED,
@@ -70,35 +69,6 @@ def run_grid(delay: float, dt: float, t_end: float, record_stride) -> tuple[int,
     if steps < 1:
         raise ConfigurationError("t_end shorter than one step")
     return m, steps, -(-steps // record_stride) + 1
-
-
-class HistoryBuffer:
-    """Ring of past position snapshots covering exactly the reaction delay.
-
-    Construction pre-fills the whole buffer with the initial positions, i.e.
-    vehicles are treated as having held their initial configuration for all
-    earlier times.  A snapshot is ``(N,)``, or ``(R, N)`` for rows of replicas.
-    """
-
-    def __init__(self, initial_positions: np.ndarray, delay: float, dt: float):
-        m = delay_steps(delay, dt)
-        self.delay_steps = m
-        self._buf = np.repeat(np.asarray(initial_positions, dtype=float)[None], m + 1, axis=0)
-        self._head = 0  # slot of the newest snapshot
-
-    def push(self, positions: np.ndarray) -> None:
-        self._head = (self._head + 1) % (self.delay_steps + 1)
-        self._buf[self._head] = positions
-
-    def select(self, rows) -> None:
-        """Keep only the given rows of every snapshot."""
-        self._buf = self._buf[:, rows]
-
-    def positions_at_delay(self) -> np.ndarray:
-        """Snapshot recorded ``delay_steps`` pushes ago (the current one for zero delay)."""
-        if self._buf.shape[0] != self.delay_steps + 1:
-            raise InternalError("history buffer no longer covers the delay")
-        return self._buf[(self._head + 1) % (self.delay_steps + 1)]
 
 
 def init_ring_equilibrium(n_vehicles: int, p: ModelParams) -> np.ndarray:

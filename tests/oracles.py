@@ -67,25 +67,36 @@ def ring_of(positions, length):
 
 
 def gap_arguments(state, vehicle, p):
-    """What the step hands :func:`safety_gap_check` for ``vehicle`` of a state
-    of one run: the ring of its positions, the vehicle's column in it and the
-    lanes in ring order."""
+    """What the step hands :func:`safety_gap_check` for ``vehicle`` of a
+    one-row state: the ring of its positions, the vehicle's column in it and
+    the lanes in ring order."""
     ring = ring_of(state.positions, p.track_length)
     column = int(np.flatnonzero(ring.order[0] == vehicle)[0])
     return ring, column, ring.sort(state.lanes)[0]
 
 
+def one_run(state):
+    """Row 0 of a batch as the state of one run, ``(N,)`` copies, as
+    :func:`reference_step` takes it."""
+    arrays = (state.positions, state.lanes, state.phis, state.lambdas)
+    return TwoLaneState(*(a[0].copy() for a in arrays))
+
+
 def detect_passes(prev_state, new_state, p):
-    """Pass counts between two consecutive two-lane states.
+    """Pass counts between two consecutive two-lane states, ``(N,)`` arrays
+    or ``(R, N)`` rows, in their shape.
 
     Vehicles whose lane differs between the states changed lanes during the
     step; their lane identity is ambiguous, so they are left out entirely.
     """
+    shape = prev_state.positions.shape
     excluded = prev_state.lanes != new_state.lanes
-    return _count_passes(
-        prev_state.positions, new_state.positions, new_state.lanes, excluded, p.track_length,
-        ring_of(prev_state.positions, p.track_length),
+    prev_pos, new_pos, lanes, excluded = (
+        a.reshape(-1, shape[-1])
+        for a in (prev_state.positions, new_state.positions, new_state.lanes, excluded)
     )
+    ring = ring_of(prev_pos, p.track_length)
+    return _count_passes(prev_pos, new_pos, lanes, excluded, p.track_length, ring).reshape(shape)
 
 
 def frustration_law(phi, own, adj, passes, r, p, dt):
@@ -142,7 +153,7 @@ def reference_step(state, ref_positions, lp, p, dt, variates):
     vehicle from the standalone kernels, each sorting on its own: the
     ``variates`` handed out in :func:`scan_order`, a full perception after
     every executed change, the safety rule over the whole other lane and the
-    pass count of the two states.  ``ref_positions`` are the perceived
+    pass count of the two states (:func:`detect_passes`).  ``ref_positions`` are the perceived
     (delayed) positions.  ``state`` is left as it was.
     """
     length = p.track_length
@@ -194,9 +205,7 @@ def reference_step(state, ref_positions, lp, p, dt, variates):
 
     after.positions = positions + dt * velocities
     after.time = round(state.time + dt, 12)
-    after.pending_passes = _count_passes(
-        positions, after.positions, lanes, changed, length, ring_of(positions, length)
-    )
+    after.pending_passes = detect_passes(state, after, p)  # the changers are left out
     for vehicle in np.flatnonzero(after.pending_passes):
         lane = int(lanes[vehicle])
         events.append(

@@ -107,6 +107,33 @@ def test_an_empty_grid_exits_2(tmp_path, capsys, kind, key):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["two-lane", "--set", "t_end=1"],
+        ["load-balance", "--set", "t_end=1", "--set", "delta_flow=1"],
+        ["aggressive", "--set", "t_end=1"],
+    ],
+)
+def test_a_negative_base_seed_exits_2(tmp_path, capsys, args):
+    """numpy's generators used to reject it, once the run had started (exit 1)."""
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out), "--quiet", "--set", "base_seed=-1"]) == EXIT_CONFIG
+    assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["single-lane", "stability", "load-balance", "aggressive"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_fleet_below_two_exits_2_naming_the_key(tmp_path, capsys, kind, n):
+    """An empty aggressive fleet used to divide by zero (exit 1); the other
+    cases exited 2 naming no key, or another one (``perturb_vehicle``)."""
+    out = tmp_path / "out"
+    assert main([kind, "--out", str(out), "--quiet", "--set", f"n_vehicles={n}"]) == EXIT_CONFIG
+    assert f"n_vehicles must be >= 2, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, value", [("flow_grid_nt", -3), ("flow_grid_nx", -1), ("flow_grid_nt", 0), ("flow_grid_nx", 0)]
 )
 def test_a_flow_grid_without_points_exits_2(tmp_path, capsys, key, value):

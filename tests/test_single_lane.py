@@ -1,10 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from ringtraffic import (
-    HistoryBuffer,
     LaneChangeParams,
     ModelParams,
     TrajectoryRecord,
@@ -18,27 +18,29 @@ from ringtraffic import (
 )
 from ringtraffic.core import _velocity
 from ringtraffic.errors import ConfigurationError, ParameterError
-from ringtraffic.single_lane import closed, ring_headways
+from ringtraffic.lane_change import _Samples, run_lockstep
+from ringtraffic.single_lane import closed, delay_steps, ring_headways, run_grid
 
 V_EQ_50 = 40.0 * (1.0 - math.exp(-0.3125))
 
 
 def per_step_run(p, n_vehicles, delay, dt, t_end, perturbation=None, record_stride=1):
-    """The single-lane run one Euler step at a time, from a ring buffer of
-    past positions: the oracle of the block kernel."""
+    """The single-lane run one Euler step at a time, from the positions of
+    the last m + 1 steps: the oracle of the block kernel."""
     steps = int(round(t_end / dt))
     x0 = init_ring_equilibrium(n_vehicles, p)
     if perturbation is not None and perturbation[1] != 0.0:
         x0 = perturb(x0, *perturbation, p.track_length)
-    hist = HistoryBuffer(x0, delay, dt)
+    m = delay_steps(delay, dt)
+    recent = collections.deque([x0] * (m + 1), maxlen=m + 1)  # oldest first
     positions, t = x0, 0.0
     times, xs, vs = [], [], []
     reason, termination_time, collisions = "completed", steps * dt, []
     for s in range(steps + 1):
         collisions = find_collisions(ring_headways(positions, p.track_length), t, p)
-        v = _velocity(ring_headways(hist.positions_at_delay(), p.track_length), p.lambda_rate, p)
+        v = _velocity(ring_headways(recent[0], p.track_length), p.lambda_rate, p)
         next_positions = positions + dt * v
-        hist.push(next_positions)
+        recent.append(next_positions)
         if collisions or s == steps or s % record_stride == 0:
             times.append(t)
             xs.append(positions)
@@ -120,12 +122,13 @@ def test_perturb_rejects_closing_a_headway(table1_params):
         perturb(x0, 0, 20.0, table1_params.track_length)
 
 
-def test_history_requires_integer_delay_multiple(table1_params):
-    x0 = init_ring_equilibrium(50, table1_params)
-    with pytest.raises(ConfigurationError):
-        HistoryBuffer(x0, delay=0.005, dt=0.01)
-    buf = HistoryBuffer(x0, delay=0.75, dt=0.01)
-    assert buf.delay_steps == 75
+def test_runs_require_integer_delay_multiple(table1_params):
+    lp = LaneChangeParams(r=0.1, p=0.2)
+    with pytest.raises(ConfigurationError, match="not an integer multiple"):
+        run_grid(0.005, 0.01, 1.0, 1)
+    with pytest.raises(ConfigurationError, match="not an integer multiple"):
+        run_lockstep(table1_params, lp, [1], 50, delay=0.005, dt=0.01, t_end=1.0, sink=_Samples)
+    assert run_grid(0.75, 0.01, 1.0, 1) == (75, 100, 101)
 
 
 def test_delayed_headway_zero_delay_is_current(table1_params):
